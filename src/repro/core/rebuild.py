@@ -69,6 +69,13 @@ class OptimisticRebuilder:
     def complete(self) -> bool:
         return self.payload is not None
 
+    @property
+    def missing(self) -> int:
+        """Chunks the fullest bucket still lacks: no rebuild attempt can
+        happen before that many more chunks have been added."""
+        fullest = max((len(b.chunks) for b in self.buckets.values()), default=0)
+        return self.codec.n_data - fullest
+
     def add_chunk(
         self,
         root: bytes,

@@ -33,7 +33,7 @@ both modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.consensus.messages import HEADER_SIZE
@@ -117,26 +117,6 @@ class ChunkMessage:
     def size_bytes(self) -> int:
         proof_size = self.proof.size_bytes if self.proof is not None else 48
         return HEADER_SIZE + self.data_size + proof_size + self.cert_size
-
-
-@dataclass
-class LocalChunkShare:
-    """Intra-group exchange of a received chunk."""
-
-    entry_id: EntryId
-    root: bytes
-    chunk_id: int
-    data: bytes
-    data_size: int
-    proof: Optional[MerkleProof]
-    n_data: int
-    n_total: int
-    genuine: bool = True
-
-    @property
-    def size_bytes(self) -> int:
-        proof_size = self.proof.size_bytes if self.proof is not None else 48
-        return HEADER_SIZE + self.data_size + proof_size
 
 
 # ----------------------------------------------------------------------
@@ -418,16 +398,19 @@ class EncodedBijectiveTransport(_TransportBase):
         self.stale_send_backlog = 0.35
         self._plans: Dict[Tuple[int, int], TransferPlan] = {}
         self._codecs: Dict[Tuple[int, int], ReedSolomonCodec] = {}
-        # Receiver-side state, per (node addr, entry_id).
-        self._rebuilders: Dict[Tuple[object, EntryId], OptimisticRebuilder] = {}
-        self._sim_state: Dict[Tuple[object, EntryId], "_SimRebuildState"] = {}
+        #: Receiver-side state per (node addr, entry_id), from the first
+        #: chunk a node hears of until the entry is delivered to it.
+        self._inboxes: Dict[Tuple[NodeAddress, EntryId], _Inbox] = {}
+        #: Every node ever attached: local exchange files into peers'
+        #: inboxes instead of sending them messages.
+        self._nodes: Dict[NodeAddress, "SimNode"] = {}
         for nodes in self.members.values():
             for node in nodes:
                 self._attach_node_handlers(node)
 
     def _attach_node_handlers(self, node: "SimNode") -> None:
-        node.on(ChunkMessage, self._make_wan_handler(node))
-        node.on(LocalChunkShare, self._make_local_handler(node))
+        node.on(ChunkMessage, lambda msg: self._ingest(node, msg.payload))
+        self._nodes[node.addr] = node
 
     # -- plan/codec caches ------------------------------------------------
 
@@ -439,14 +422,6 @@ class EncodedBijectiveTransport(_TransportBase):
             self._plans[key] = plan
         return plan
 
-    def codec_for(self, plan: TransferPlan) -> ReedSolomonCodec:
-        key = (plan.n_data, plan.n_total)
-        codec = self._codecs.get(key)
-        if codec is None:
-            codec = ReedSolomonCodec(plan.n_data, plan.n_total - plan.n_data)
-            self._codecs[key] = codec
-        return codec
-
     # -- sender side -------------------------------------------------------
 
     def replicate(
@@ -457,6 +432,7 @@ class EncodedBijectiveTransport(_TransportBase):
         self.mark_origin_delivered(entry.entry_id)
         src_gid = entry.gid
         self._note_wan_routes(src_gid)
+        encode_cost = self.costs.encode_seconds(entry.size_bytes)
         for dst_gid in self.other_groups(src_gid):
             plan = self.plan_for(src_gid, dst_gid)
             chunk_size = max(1, -(-entry.size_bytes // plan.n_data))
@@ -464,7 +440,6 @@ class EncodedBijectiveTransport(_TransportBase):
             for sender in self.members[src_gid]:
                 if sender.crashed:
                     continue
-                encode_cost = self.costs.encode_seconds(entry.size_bytes)
                 sender.consume_cpu(
                     encode_cost,
                     self._make_send_share(
@@ -480,7 +455,7 @@ class EncodedBijectiveTransport(_TransportBase):
         """
         out: Dict[bool, Tuple] = {}
         if self.coding == "real":
-            codec = self.codec_for(plan)
+            codec = self.codec_for_counts(plan.n_data, plan.n_total)
             genuine_chunks = codec.encode(entry.payload)
             out[True] = (genuine_chunks, MerkleTree(genuine_chunks))
             tampered_payload = b"tampered:" + entry.payload
@@ -557,119 +532,97 @@ class EncodedBijectiveTransport(_TransportBase):
 
     # -- receiver side -----------------------------------------------------
 
-    def _make_wan_handler(self, node: "SimNode"):
-        def handler(msg: Message) -> None:
-            chunk: ChunkMessage = msg.payload
-            # Byzantine receivers re-share tampered chunks instead of the
-            # ones they received (Fig 15's attack): handled in _ingest.
-            self._ingest(node, chunk, from_wan=True)
-
-        return handler
-
-    def _make_local_handler(self, node: "SimNode"):
-        def handler(msg: Message) -> None:
-            share: LocalChunkShare = msg.payload
-            chunk = ChunkMessage(
-                entry_id=share.entry_id,
-                root=share.root,
-                chunk_id=share.chunk_id,
-                data=share.data,
-                data_size=share.data_size,
-                proof=share.proof,
-                n_data=share.n_data,
-                n_total=share.n_total,
-                cert_size=0,
-                genuine=share.genuine,
-            )
-            self._ingest(node, chunk, from_wan=False)
-
-        return handler
-
-    def _ingest(self, node: "SimNode", chunk: ChunkMessage, from_wan: bool) -> None:
-        if (node.addr, chunk.entry_id) in self._delivered:
+    def _ingest(self, node: "SimNode", chunk: ChunkMessage) -> None:
+        """A chunk arrived over the WAN: re-share it, then count it."""
+        key = (node.addr, chunk.entry_id)
+        if key in self._delivered:
             return
-        if from_wan:
-            if node.byzantine:
-                # A faulty receiver floods tampered chunks locally instead
-                # of forwarding what it received.
-                tampered = self._tampered_version(chunk)
-                self._share_locally(node, tampered)
-                return
-            self._share_locally(node, chunk)
-        if self.coding == "real":
-            self._ingest_real(node, chunk)
-        else:
-            self._ingest_simulated(node, chunk)
+        if node.byzantine:
+            # A faulty receiver floods tampered chunks locally instead of
+            # forwarding what it received (Fig 15's attack).
+            self._share_locally(node, self._tampered_version(chunk))
+            return
+        self._share_locally(node, chunk)
+        inbox = self._inboxes.get(key)
+        if inbox is None:
+            inbox = self._inboxes[key] = _Inbox(self._new_rebuild(chunk))
+        # Peers' shares that landed before this chunk go in first.
+        self._drain(node, inbox)
+        if not inbox.done:
+            self._apply(node, inbox, chunk)
+        self._arm(node, inbox)
 
     def _tampered_version(self, chunk: ChunkMessage) -> ChunkMessage:
-        if self.coding == "real":
-            entry = self.get_entry(chunk.entry_id)
-            codec = self.codec_for_counts(chunk.n_data, chunk.n_total)
-            tampered_chunks = codec.encode(b"tampered:" + entry.payload)
-            tree = MerkleTree(tampered_chunks)
-            return ChunkMessage(
-                entry_id=chunk.entry_id,
-                root=tree.root,
-                chunk_id=chunk.chunk_id,
-                data=tampered_chunks[chunk.chunk_id],
-                data_size=len(tampered_chunks[chunk.chunk_id]),
-                proof=tree.proof(chunk.chunk_id),
-                n_data=chunk.n_data,
-                n_total=chunk.n_total,
-                cert_size=0,
-                genuine=False,
-            )
         entry = self.get_entry(chunk.entry_id)
-        return ChunkMessage(
-            entry_id=chunk.entry_id,
-            root=digest(b"tampered-root:" + entry.digest),
-            chunk_id=chunk.chunk_id,
-            data=b"",
-            data_size=chunk.data_size,
-            proof=None,
-            n_data=chunk.n_data,
-            n_total=chunk.n_total,
+        if self.coding != "real":
+            fake_root = digest(b"tampered-root:" + entry.digest)
+            return replace(
+                chunk, root=fake_root, data=b"", proof=None, cert_size=0, genuine=False
+            )
+        codec = self.codec_for_counts(chunk.n_data, chunk.n_total)
+        tampered_chunks = codec.encode(b"tampered:" + entry.payload)
+        tree = MerkleTree(tampered_chunks)
+        data = tampered_chunks[chunk.chunk_id]
+        return replace(
+            chunk,
+            root=tree.root,
+            data=data,
+            data_size=len(data),
+            proof=tree.proof(chunk.chunk_id),
             cert_size=0,
             genuine=False,
         )
 
     def _share_locally(self, node: "SimNode", chunk: ChunkMessage) -> None:
-        share = LocalChunkShare(
-            entry_id=chunk.entry_id,
-            root=chunk.root,
-            chunk_id=chunk.chunk_id,
-            data=chunk.data,
-            data_size=chunk.data_size,
-            proof=chunk.proof,
-            n_data=chunk.n_data,
-            n_total=chunk.n_total,
-            genuine=chunk.genuine,
+        """Intra-group exchange of a received chunk (Section IV-C): the
+        LAN burst is charged like any broadcast, but its arrivals are filed
+        in the peers' inboxes, each with the event-order slot its delivery
+        event would have taken (DESIGN.md section 8, threshold inboxes)."""
+        receivers, arrivals = node.network.lan_burst(
+            node.addr, chunk.size_bytes - chunk.cert_size
         )
-        node.broadcast_local(share, share.size_bytes)
+        if not arrivals:
+            return
+        slot = node.sim.reserve_slots(len(arrivals) - arrivals.count(None)) - 1
+        sender = node.addr
+        entry_id = chunk.entry_id
+        nodes = self._nodes
+        inboxes = self._inboxes
+        for addr, at in zip(receivers, arrivals):
+            if at is None:
+                continue  # lost on the wire
+            slot += 1
+            peer = nodes.get(addr)
+            if peer is None:
+                continue  # on the LAN but not (yet) a transport member
+            key = (addr, entry_id)
+            inbox = inboxes.get(key)
+            if inbox is None:
+                if key in self._delivered:
+                    continue
+                inbox = inboxes[key] = _Inbox(self._new_rebuild(chunk))
+            elif inbox.done:
+                continue
+            inbox.pending.append((at, slot, sender, chunk))
+            wake = inbox.wake
+            if wake is None:
+                if len(inbox.pending) >= inbox.need:
+                    self._arm(peer, inbox)
+            elif (at, slot) < (wake.time, wake.seq):
+                self._arm(peer, inbox)
 
-    def _ingest_real(self, node: "SimNode", chunk: ChunkMessage) -> None:
-        key = (node.addr, chunk.entry_id)
-        rebuilder = self._rebuilders.get(key)
-        if rebuilder is None:
-            entry = self.get_entry(chunk.entry_id)
-            codec = self.codec_for_counts(chunk.n_data, chunk.n_total)
-            expected = entry.digest
+    def _new_rebuild(self, chunk: ChunkMessage):
+        if self.coding != "real":
+            return _SimRebuildState(n_data=chunk.n_data)
+        entry_id = chunk.entry_id
+        header = f"entry:{entry_id.gid}:{entry_id.seq}:".encode("utf-8")
 
-            def validator(payload: bytes) -> bool:
-                header = (
-                    f"entry:{chunk.entry_id.gid}:{chunk.entry_id.seq}:".encode("utf-8")
-                )
-                return digest(header + payload) == expected
+        def validator(payload: bytes) -> bool:
+            return digest(header + payload) == self.get_entry(entry_id).digest
 
-            rebuilder = OptimisticRebuilder(codec, validator)
-            self._rebuilders[key] = rebuilder
-        result = rebuilder.add_chunk(chunk.root, chunk.chunk_id, chunk.data, chunk.proof)
-        if result.ok:
-            cost = self.costs.rebuild_seconds(len(result.payload or b""))
-            entry_id = chunk.entry_id
-            node.consume_cpu(cost, lambda: self._finish(node, entry_id))
-        elif result.status == "failed":
-            self._count("rebuild_failures")
+        return OptimisticRebuilder(
+            self.codec_for_counts(chunk.n_data, chunk.n_total), validator
+        )
 
     def codec_for_counts(self, n_data: int, n_total: int) -> ReedSolomonCodec:
         key = (n_data, n_total)
@@ -679,25 +632,108 @@ class EncodedBijectiveTransport(_TransportBase):
             self._codecs[key] = codec
         return codec
 
-    def _ingest_simulated(self, node: "SimNode", chunk: ChunkMessage) -> None:
-        key = (node.addr, chunk.entry_id)
-        state = self._sim_state.get(key)
-        if state is None:
-            state = _SimRebuildState(n_data=chunk.n_data)
-            self._sim_state[key] = state
-        outcome = state.add(chunk.root, chunk.chunk_id, chunk.genuine)
+    def _arm(self, node: "SimNode", inbox: "_Inbox") -> None:
+        """Schedule the wake in the slot of the ``need``-th pending arrival:
+        the fullest bucket lacks ``need`` chunks, so nothing can be rebuilt
+        (or fail) sooner, whatever the arrivals carry. An armed wake only
+        moves earlier; a stale early one drains, falls short and re-arms."""
+        if inbox.done:
+            return
+        pending = inbox.pending
+        need = inbox.need = inbox.rebuild.missing
+        if len(pending) < need:
+            return
+        pending.sort()
+        at, slot = pending[need - 1][:2]
+        wake = inbox.wake
+        if wake is not None:
+            if (wake.time, wake.seq) <= (at, slot):
+                return
+            wake.cancel()
+        inbox.wake = node.sim.schedule_reserved(at, slot, self._wake, node, inbox)
+
+    def _wake(self, node: "SimNode", inbox: "_Inbox") -> None:
+        inbox.wake = None
+        self._drain(node, inbox)
+        self._arm(node, inbox)
+
+    def _drain(self, node: "SimNode", inbox: "_Inbox") -> None:
+        """Feed the rebuild every arrival up to the executing event, in
+        order; one counts iff neither end was crashed where it landed."""
+        pending = inbox.pending
+        if not pending:
+            return
+        pending.sort()
+        now = node.sim.position
+        network = node.network
+        crashes = network.down_log
+        receiver = node.addr
+        taken = 0
+        for at, slot, sender, chunk in pending:
+            landed = (at, slot)
+            if landed > now:
+                break
+            taken += 1
+            if crashes and (
+                network.was_down(receiver, landed)
+                or network.was_down(sender, landed)
+            ):
+                continue
+            self._apply(node, inbox, chunk)
+            if inbox.done:
+                return  # closed: nothing left pending
+        del pending[:taken]
+
+    def _apply(self, node: "SimNode", inbox: "_Inbox", chunk: ChunkMessage) -> str:
+        """Feed one chunk to the rebuild; returns what happened."""
+        entry_id = chunk.entry_id
+        real = self.coding == "real"
+        if real:
+            result = inbox.rebuild.add_chunk(
+                chunk.root, chunk.chunk_id, chunk.data, chunk.proof
+            )
+            outcome = result.status
+        else:
+            outcome = inbox.rebuild.add(chunk.root, chunk.chunk_id, chunk.genuine)
         if outcome == "rebuilt":
-            entry = self.get_entry(chunk.entry_id)
-            cost = self.costs.rebuild_seconds(entry.size_bytes)
-            entry_id = chunk.entry_id
-            node.consume_cpu(cost, lambda: self._finish(node, entry_id))
+            inbox.close()  # whatever else arrives is a duplicate
+            size = len(result.payload) if real else self.get_entry(entry_id).size_bytes
+            node.consume_cpu(
+                self.costs.rebuild_seconds(size),
+                lambda: self._deliver_once(node, entry_id),
+            )
         elif outcome == "failed":
             self._count("rebuild_failures")
+        return outcome
 
-    def _finish(self, node: "SimNode", entry_id: EntryId) -> None:
-        self._rebuilders.pop((node.addr, entry_id), None)
-        self._sim_state.pop((node.addr, entry_id), None)
-        self._deliver_once(node, entry_id)
+    def _deliver_once(self, node: "SimNode", entry_id: EntryId) -> None:
+        # The inbox dies with the rebuild, whichever path delivered first.
+        inbox = self._inboxes.pop((node.addr, entry_id), None)
+        if inbox is not None:
+            inbox.close()
+        super()._deliver_once(node, entry_id)
+
+
+class _Inbox:
+    """One node's rebuild of one entry plus its threshold inbox: ``pending``
+    holds the shares ``(time, order slot, sender, chunk)`` not yet fed to
+    ``rebuild``; ``wake`` is the one event that will drain them."""
+
+    __slots__ = ("rebuild", "need", "pending", "wake", "done")
+
+    def __init__(self, rebuild) -> None:
+        self.rebuild = rebuild
+        self.need: int = rebuild.missing
+        self.pending: List[Tuple[float, int, NodeAddress, ChunkMessage]] = []
+        self.wake = None
+        self.done = False
+
+    def close(self) -> None:
+        self.done = True
+        self.pending.clear()
+        if self.wake is not None:
+            self.wake.cancel()
+            self.wake = None
 
 
 @dataclass
@@ -710,6 +746,11 @@ class _SimRebuildState:
     genuine_roots: Set[bytes] = field(default_factory=set)
     failed_roots: Set[bytes] = field(default_factory=set)
     done: bool = False
+
+    @property
+    def missing(self) -> int:
+        """Chunks the fullest bucket still lacks."""
+        return self.n_data - max(map(len, self.buckets.values()), default=0)
 
     def add(self, root: bytes, chunk_id: int, genuine: bool) -> str:
         if self.done:

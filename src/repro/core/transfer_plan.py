@@ -19,8 +19,8 @@ nc2=4, f1=1, f2=2, n_parity=15, n_data=13 — a traffic amplification of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -47,23 +47,36 @@ class TransferPlan:
     nc1: int
     nc2: int
     assignments: Tuple[TransferAssignment, ...]
+    #: ``assignments`` split per sender / receiver index, built with the
+    #: plan: senders look their share up for every entry.
+    by_sender: Tuple[Tuple[TransferAssignment, ...], ...] = field(init=False)
+    by_receiver: Tuple[Tuple[TransferAssignment, ...], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        plan = self.assignments
+        sent = tuple(tuple(a for a in plan if a.sender == i) for i in range(self.n1))
+        received = tuple(
+            tuple(a for a in plan if a.receiver == j) for j in range(self.n2)
+        )
+        object.__setattr__(self, "by_sender", sent)
+        object.__setattr__(self, "by_receiver", received)
 
     @property
     def overhead(self) -> float:
         """WAN amplification factor: entry copies transmitted."""
         return self.n_total / self.n_data
 
-    def chunks_sent_by(self, sender: int) -> List[TransferAssignment]:
+    def chunks_sent_by(self, sender: int) -> Tuple[TransferAssignment, ...]:
         """The assignments where group-1 node ``sender`` transmits."""
         if not 0 <= sender < self.n1:
             raise IndexError(f"sender id {sender} out of range [0, {self.n1})")
-        return [a for a in self.assignments if a.sender == sender]
+        return self.by_sender[sender]
 
-    def chunks_received_by(self, receiver: int) -> List[TransferAssignment]:
+    def chunks_received_by(self, receiver: int) -> Tuple[TransferAssignment, ...]:
         """The assignments where group-2 node ``receiver`` receives."""
         if not 0 <= receiver < self.n2:
             raise IndexError(f"receiver id {receiver} out of range [0, {self.n2})")
-        return [a for a in self.assignments if a.receiver == receiver]
+        return self.by_receiver[receiver]
 
     def surviving_chunks(self, faulty_senders: set, faulty_receivers: set) -> set:
         """Chunk ids guaranteed delivered given faulty node index sets."""

@@ -10,7 +10,8 @@ Report format (``BENCH_perf.json``)::
                                      "units_per_sec": ...}, ...},
       "end_to_end": {"sim_seconds_per_wall_second": ...,
                      "wall_seconds": ..., "sim_seconds": ...,
-                     "committed": ..., "throughput_tps": ...},
+                     "committed": ..., "throughput_tps": ...,
+                     "events": ..., "events_per_commit": ...},
       "normalized_end_to_end": ...
     }
 
@@ -177,14 +178,15 @@ def _run_end_to_end(
         metrics = deployment.run(
             duration=config.e2e_duration, warmup=config.e2e_warmup
         )
-        return time.perf_counter() - start, metrics
+        wall = time.perf_counter() - start
+        return wall, metrics, deployment.sim.events_processed
 
     for _ in range(config.e2e_warmup_runs):
         one_run()
     best_wall = None
     metrics = None
     for _ in range(max(1, config.e2e_runs)):
-        wall, metrics = one_run()
+        wall, metrics, events = one_run()
         if best_wall is None or wall < best_wall:
             best_wall = wall
     result = {
@@ -193,6 +195,9 @@ def _run_end_to_end(
         "sim_seconds": config.e2e_duration,
         "committed": float(metrics.committed),
         "throughput_tps": metrics.throughput,
+        # Deterministic per seed: the part of host cost a design controls.
+        "events": events,
+        "events_per_commit": events / max(1, metrics.committed),
     }
     if log:
         if traced:

@@ -8,7 +8,7 @@ events injected by :class:`repro.sim.network.Network`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import Event, EventQueue
 
@@ -115,6 +115,8 @@ class Simulator:
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
+        #: Sequence number of the event being executed (see position).
+        self._seq_now = -1
         self._running = False
         self._stopped = False
         self.events_processed = 0
@@ -130,6 +132,12 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def position(self) -> Tuple[float, int]:
+        """``(time, seq)`` of the executing event: everything ordered
+        before it has run, nothing ordered after it has."""
+        return self._now, self._seq_now
 
     @property
     def pending_events(self) -> int:
@@ -170,6 +178,19 @@ class Simulator:
         if time < self._now:
             raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
         return self._queue.push_volatile(time, callback, args)
+
+    def reserve_slots(self, count: int) -> int:
+        """Take ``count`` consecutive event-order slots; returns the first
+        (see :meth:`EventQueue.reserve`)."""
+        return self._queue.reserve(count)
+
+    def schedule_reserved(
+        self, time: float, seq: int, callback: Callable[..., None], *args: Any
+    ) -> Event:
+        """Run ``callback(*args)`` at ``time`` in reserved order slot ``seq``."""
+        if (time, seq) <= (self._now, self._seq_now):
+            raise ValueError(f"slot ({time}, {seq}) is already in the past")
+        return self._queue.push_reserved(time, seq, callback, args)
 
     def set_timer(
         self,
@@ -227,6 +248,7 @@ class Simulator:
                 if event is None:
                     break
                 self._now = event.time
+                self._seq_now = event.seq
                 event.callback(*event.args)
                 if event.volatile:
                     recycle(event)

@@ -138,6 +138,29 @@ class EventQueue:
         heappush(self._heap, (time, seq, event))
         return event
 
+    def reserve(self, count: int) -> int:
+        """Set aside ``count`` consecutive order slots; returns the first.
+
+        For occurrences that need not all become events: one later pushed
+        with :meth:`push_reserved` fires exactly where an eagerly scheduled
+        event would have, and every other event keeps its sequence number.
+        """
+        seq = self._seq
+        self._seq = seq + count
+        return seq
+
+    def push_reserved(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[..., None],
+        args: Tuple[Any, ...] = (),
+    ) -> Event:
+        """Schedule ``callback(*args)`` into a slot from :meth:`reserve`."""
+        event = Event(time, seq, callback, args)
+        heappush(self._heap, (time, seq, event))
+        return event
+
     def recycle(self, event: Event) -> None:
         """Return a fired volatile event to the freelist (run-loop only)."""
         event.callback = None  # type: ignore[assignment]

@@ -223,6 +223,13 @@ class LanedSimulator(Simulator):
         event.lane = self.current_lane
         return event
 
+    def schedule_reserved(
+        self, time: float, seq: int, callback: Callable[..., None], *args: Any
+    ) -> Event:
+        event = super().schedule_reserved(time, seq, callback, *args)
+        event.lane = self.current_lane
+        return event
+
     def post_volatile(
         self, lane: int, time: float, callback: Callable[..., None], *args: Any
     ) -> None:
@@ -282,6 +289,7 @@ class LanedSimulator(Simulator):
                 if event is None:
                     break
                 self._now = event.time
+                self._seq_now = event.seq
                 lane = event.lane
                 if lane is not None:
                     self.current_lane = lane

@@ -23,7 +23,7 @@ partitions, and per-node crash/bandwidth overrides (Fig 14, Fig 15).
 from __future__ import annotations
 
 import os
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -274,6 +274,9 @@ class Network:
         self._wan_ctl: Dict[NodeAddress, ResourceQueue] = {}
         self._wan_down: Dict[NodeAddress, ResourceQueue] = {}
         self._crashed: set = set()
+        #: Per address, the event-order positions at which it crashed,
+        #: recovered, crashed, ... (see was_down). Empty until a crash.
+        self.down_log: Dict[NodeAddress, List[Tuple[float, int]]] = {}
         self._partitioned_groups: set = set()
 
         # Traffic accounting (bytes), used by the Fig 10 experiment.
@@ -409,19 +412,29 @@ class Network:
     def crash_node(self, addr: NodeAddress) -> None:
         """Silently drop all traffic to/from ``addr`` from now on."""
         self._require_registered(addr)
-        self._crashed.add(addr)
+        if addr not in self._crashed:
+            self._crashed.add(addr)
+            self.down_log.setdefault(addr, []).append(self.sim.position)
 
     def recover_node(self, addr: NodeAddress) -> None:
-        self._crashed.discard(addr)
+        if addr in self._crashed:
+            self._crashed.discard(addr)
+            self.down_log[addr].append(self.sim.position)
 
     def crash_group(self, group: int) -> None:
         """Simulate a data center outage (Fig 15 group failure)."""
         for addr in self.group_members(group):
-            self._crashed.add(addr)
+            self.crash_node(addr)
 
     def recover_group(self, group: int) -> None:
         for addr in self.group_members(group):
-            self._crashed.discard(addr)
+            self.recover_node(addr)
+
+    def was_down(self, addr: NodeAddress, position: Tuple[float, int]) -> bool:
+        """Whether ``addr`` was crashed at event-order ``position`` — what
+        :meth:`_deliver` would have seen had it run there."""
+        log = self.down_log.get(addr)
+        return log is not None and bisect_right(log, position) % 2 == 1
 
     def is_crashed(self, addr: NodeAddress) -> bool:
         return addr in self._crashed
@@ -563,59 +576,67 @@ class Network:
                 count += 1
             return count
 
+        now = self.sim.now
+        msg_id = self._next_msg_id
+        receivers, arrivals = self.lan_burst(src, size_bytes, include_self)
+        deliver = self._deliver
+        schedule_at = self.sim.schedule_at_volatile
+        for addr, deliver_at in zip(receivers, arrivals):
+            if deliver_at is not None:
+                schedule_at(
+                    deliver_at,
+                    deliver,
+                    Message(src, addr, payload, size_bytes, msg_id, now),
+                )
+            msg_id += 1
+        return len(receivers)
+
+    def lan_burst(
+        self, src: NodeAddress, size_bytes: int, include_self: bool = False
+    ) -> Tuple[List[NodeAddress], Sequence[Optional[float]]]:
+        """Time one LAN broadcast from ``src`` to its own group.
+
+        Charges the sender's LAN NIC, the byte counter, one message id per
+        receiver and the loss/jitter RNG exactly as N ``send`` calls would,
+        and returns ``(receivers, arrival times)`` without scheduling
+        anything: ``None`` for a message lost on the wire, no arrivals from
+        a crashed sender. :meth:`broadcast_group` makes each arrival a
+        delivery event; the chunk exchange reads the times instead.
+        """
         if size_bytes < 0:
             raise ValueError("message size must be non-negative")
-        receivers = self._receivers(group, src, include_self)
+        receivers = self._receivers(src.group, src, include_self)
         if src in self._crashed:
-            # send() would drop each message at submission; fan-out count
-            # is unchanged by the drop.
-            return len(receivers)
-
+            return receivers, ()
         now = self.sim.now
         bits = size_bytes * 8
         lan_queue = self._lan_up[src]
         latency = self.lan_latency
-        quality = self.lan_quality
-        loss_p = quality.loss_probability
-        jitter = quality.jitter
-        deliver = self._deliver
-        msg_id = self._next_msg_id
-        schedule_at = self.sim.schedule_at_volatile
-
+        loss_p = self.lan_quality.loss_probability
+        jitter = self.lan_quality.jitter
+        count = len(receivers)
+        self._next_msg_id += count
+        self.lan_bytes_total += size_bytes * count
         if loss_p == 0 and jitter == 0:
             # Deterministic drain: every receiver's NIC slot comes from one
             # batched (numpy when available) accumulate over the equal-size
             # bursts, bit-identical to the per-message acquire loop.
-            count = len(receivers)
-            finishes = lan_queue.acquire_batch(now, bits, count)
-            self.lan_bytes_total += size_bytes * count
-            for addr, tx_done in zip(receivers, finishes):
-                schedule_at(
-                    tx_done + latency,
-                    deliver,
-                    Message(src, addr, payload, size_bytes, msg_id, now),
-                )
-                msg_id += 1
-            self._next_msg_id = msg_id
-            return count
-
+            return receivers, [
+                tx_done + latency
+                for tx_done in lan_queue.acquire_batch(now, bits, count)
+            ]
         rng = self._rng
-        count = 0
-        for addr in receivers:
-            count += 1
-            msg = Message(src, addr, payload, size_bytes, msg_id, now)
-            msg_id += 1
+        arrivals: List[Optional[float]] = []
+        for _ in receivers:
             _, tx_done = lan_queue.acquire(now, bits)
-            self.lan_bytes_total += size_bytes
-            deliver_at = tx_done + latency
+            deliver_at: Optional[float] = tx_done + latency
             if loss_p > 0 and rng.random() < loss_p:
                 self.monitor.counter("network.dropped").add()
-                continue
-            if jitter > 0:
+                deliver_at = None
+            elif jitter > 0:
                 deliver_at += rng.random() * jitter
-            schedule_at(deliver_at, deliver, msg)
-        self._next_msg_id = msg_id
-        return count
+            arrivals.append(deliver_at)
+        return receivers, arrivals
 
     def send_fanout(
         self,

@@ -33,12 +33,14 @@ READ_PAYLOAD = 64
 UPDATE_PAYLOAD = 178
 
 
+def initial_column(key: int, column: int) -> str:
+    """The deterministic initial contents of one column of row ``key``."""
+    return f"init:{key}:{column}".ljust(COLUMN_BYTES, "x")
+
+
 def initial_row(key: int) -> Dict[str, str]:
     """The deterministic initial contents of row ``key``."""
-    return {
-        f"field{c}": f"init:{key}:{c}".ljust(COLUMN_BYTES, "x")
-        for c in range(N_COLUMNS)
-    }
+    return {f"field{c}": initial_column(key, c) for c in range(N_COLUMNS)}
 
 
 class YcsbWorkload(Workload):
@@ -262,9 +264,6 @@ class YcsbWorkload(Workload):
         )
 
     def logic(self) -> Dict[str, TxLogic]:
-        def initial_column(key: int, column: int) -> str:
-            return initial_row(key)[f"field{column}"]
-
         def read(store: KVStore, tx: Transaction) -> Dict[str, Any]:
             key, column = tx.params["key"], tx.params["column"]
             store.get(self.column_key(key, column), initial_column(key, column))

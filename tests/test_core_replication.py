@@ -1,30 +1,37 @@
 """Transport-level tests: leader unicast, bijective, encoded bijective."""
 
 import os
+import random
 
 import pytest
 
 from repro.core.entry import LogEntry
 from repro.core.replication import (
     BijectiveTransport,
+    ChunkMessage,
     EncodedBijectiveTransport,
     LeaderUnicastTransport,
+    _Inbox,
 )
+from repro.crypto.hashing import digest
 from repro.sim.core import Simulator
-from repro.sim.network import Network, NodeAddress
+from repro.sim.network import LinkQuality, Network, NodeAddress
 from repro.sim.node import SimNode
+from repro.sim.rng import RngRegistry
 from tests.conftest import fast_costs
 
 
 class Harness:
-    def __init__(self, transport_cls, sizes=(4, 4), coding=None, payload=b""):
+    def __init__(
+        self, transport_cls, sizes=(4, 4), coding=None, payload=b"", **net_kwargs
+    ):
         self.sim = Simulator()
         rtts = {
             (i, j): 0.020
             for i in range(len(sizes))
             for j in range(i + 1, len(sizes))
         }
-        self.net = Network(self.sim, rtt_matrix=rtts)
+        self.net = Network(self.sim, rtt_matrix=rtts, **net_kwargs)
         self.members = {}
         for gid, n in enumerate(sizes):
             self.members[gid] = [
@@ -213,3 +220,307 @@ class TestEncodedBijectiveReal:
     def test_bad_coding_mode_rejected(self):
         with pytest.raises(ValueError):
             Harness(EncodedBijectiveTransport, sizes=(4, 4), coding="bogus")
+
+
+# ----------------------------------------------------------------------
+# Threshold inbox == one delivery event per shared chunk
+# ----------------------------------------------------------------------
+
+
+class _Recorded:
+    """Logs every chunk fed to a rebuild, per (node, entry)."""
+
+    def __init__(self, *args, **kwargs):
+        self.outcomes = {}
+        super().__init__(*args, **kwargs)
+
+    def _apply(self, node, inbox, chunk):
+        outcome = super()._apply(node, inbox, chunk)
+        self.outcomes.setdefault((node.addr, chunk.entry_id), []).append(
+            (chunk.chunk_id, chunk.root, outcome)
+        )
+        return outcome
+
+
+class InboxExchange(_Recorded, EncodedBijectiveTransport):
+    pass
+
+
+class PerArrivalExchange(_Recorded, EncodedBijectiveTransport):
+    """The reference: every shared chunk is its own delivery event, judged
+    (crashed ends, already delivered) and fed to the rebuild the moment it
+    lands — the semantics threshold inboxes must be indistinguishable from.
+    It uses no pending list, wake or drain."""
+
+    def _share_locally(self, node, chunk):
+        receivers, arrivals = node.network.lan_burst(
+            node.addr, chunk.size_bytes - chunk.cert_size
+        )
+        for addr, at in zip(receivers, arrivals):
+            if at is not None:
+                node.sim.schedule_at(at, self._land, node.addr, addr, chunk)
+
+    def _land(self, sender, addr, chunk):
+        node = self._nodes[addr]
+        if node.network.is_crashed(addr) or node.network.is_crashed(sender):
+            return
+        key = (addr, chunk.entry_id)
+        if key in self._delivered:
+            return
+        inbox = self._inboxes.get(key)
+        if inbox is None:
+            inbox = self._inboxes[key] = _Inbox(self._new_rebuild(chunk))
+        self._apply(node, inbox, chunk)
+
+
+def _result(h):
+    return {
+        "delivered": h.delivered,
+        "counters": dict(h.transport.monitor_counters),
+        "lan_bytes": h.net.lan_bytes_total,
+        "dropped": h.net.monitor.counter("network.dropped").value,
+    }
+
+
+def assert_equivalent(inbox, reference):
+    """Same deliveries at the same instants, same counters, and per (node,
+    entry) the same outcome sequence for as long as outcomes can matter: an
+    inbox may leave its last few chunks unfed, but only ones the reference
+    saw change nothing (no rebuild, no failed bucket)."""
+    assert _result(inbox) == _result(reference)
+    fed = inbox.transport.outcomes
+    for key, rows in reference.transport.outcomes.items():
+        mine = fed.get(key, [])
+        assert rows[: len(mine)] == mine, key
+        assert not {"rebuilt", "failed"} & {o for _, _, o in rows[len(mine):]}, key
+    assert fed.keys() <= reference.transport.outcomes.keys()
+
+
+def _sim_chunk(entry, chunk_id, root, n_data, n_total, genuine):
+    return ChunkMessage(
+        entry_id=entry.entry_id,
+        root=root,
+        chunk_id=chunk_id,
+        data=b"",
+        data_size=400,
+        proof=None,
+        n_data=n_data,
+        n_total=n_total,
+        cert_size=0,
+        genuine=genuine,
+    )
+
+
+def _random_exchange(transport_cls, seed):
+    """A seeded storm of WAN chunks at one receiving group: genuine and
+    tampered roots, repeated chunk ids (duplicates; blacklisted ids once a
+    fake bucket fails), Byzantine re-sharers, crashes and recoveries, and on
+    some seeds LAN loss and jitter. Send times sit on a coarse grid and all
+    chunks have one size, so arrival times tie often."""
+    rnd = random.Random(seed)
+    n = rnd.choice((4, 5, 7, 8, 10))
+    n_data = rnd.randint(2, 4)
+    n_total = 2 * n_data + rnd.randint(1, 4)
+    lossy = seed % 3 == 0
+    h = Harness(
+        transport_cls,
+        sizes=(n, n),
+        coding="simulated",
+        payload=b"x" * 2000,
+        lan_quality=LinkQuality(
+            loss_probability=0.03 if lossy else 0.0,
+            jitter=0.005 if lossy else 0.0,
+        ),
+        rng=RngRegistry(seed),
+    )
+    senders, receivers = h.members[0], h.members[1]
+    entries = [h.entry, LogEntry(gid=0, seq=2, payload=b"y" * 900)]
+    h.entries[entries[1].entry_id] = entries[1]
+    for node in rnd.sample(receivers, rnd.randint(0, (n - 1) // 3)):
+        node.make_byzantine()
+    for entry in entries:
+        roots = [
+            (digest(b"root:" + entry.digest), True),
+            (digest(b"tampered-root:" + entry.digest), False),
+            (digest(b"another-fake:" + entry.digest), False),
+        ]
+        for _ in range(3 * n_total):
+            root, genuine = rnd.choices(roots, weights=(6, 3, 1))[0]
+            chunk = _sim_chunk(
+                entry, rnd.randrange(n_total), root, n_data, n_total, genuine
+            )
+            h.sim.schedule_at(
+                rnd.randrange(40) * 0.00025,
+                rnd.choice(senders).send,
+                rnd.choice(receivers).addr,
+                chunk,
+                chunk.size_bytes,
+            )
+    for node in rnd.sample(receivers, 2):
+        down = 0.0105 + rnd.random() * 0.01
+        h.sim.schedule_at(down, node.crash)
+        if rnd.random() < 0.7:
+            h.sim.schedule_at(down + rnd.random() * 0.004, node.recover)
+    h.sim.run(until=1.0)
+    return h
+
+
+class TestThresholdInbox:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_schedules_match_per_arrival_reference(self, seed):
+        inbox = _random_exchange(InboxExchange, seed)
+        reference = _random_exchange(PerArrivalExchange, seed)
+        assert_equivalent(inbox, reference)
+        assert inbox.sim.events_processed <= reference.sim.events_processed
+
+    def test_random_schedules_cover_every_outcome(self):
+        seen = set()
+        for seed in range(40):
+            h = _random_exchange(InboxExchange, seed)
+            for rows in h.transport.outcomes.values():
+                seen.update(outcome for _, _, outcome in rows)
+        assert seen == {"pending", "rebuilt", "rejected", "duplicate", "failed"}
+
+    @pytest.mark.parametrize("coding", ["simulated", "real"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_replicate_matches_reference_under_faults(self, coding, seed):
+        def run(transport_cls):
+            h = Harness(
+                transport_cls,
+                sizes=(7, 7, 4),
+                coding=coding,
+                payload=bytes(range(256)) * 6,
+                lan_quality=LinkQuality(loss_probability=0.03, jitter=0.005),
+                wan_quality=LinkQuality(jitter=0.005),
+                rng=RngRegistry(seed),
+            )
+            h.members[0][5].make_byzantine()
+            h.members[1][1 + seed % 3].make_byzantine()
+            h.sim.schedule_at(0.012 + seed * 0.001, h.members[1][5].crash)
+            h.replicate()
+            return h
+
+        inbox, reference = run(InboxExchange), run(PerArrivalExchange)
+        assert_equivalent(inbox, reference)
+        assert len(inbox.receivers(2)) == 4
+
+    def _two_shares(self, transport_cls, faults):
+        """Group 1 (n=4, two chunks rebuild): N1.0 and N1.2 each receive a
+        WAN chunk 2 ms apart and re-share it; ``faults`` are scheduled
+        ``(time, node index, "crash" | "recover")`` in group 1."""
+        h = Harness(
+            transport_cls, sizes=(4, 4), coding="simulated", payload=b"x" * 2000
+        )
+        root = digest(b"root:" + h.entry.digest)
+        for at, index in ((0.0, 0), (0.002, 2)):
+            chunk = _sim_chunk(h.entry, index, root, 2, 4, True)
+            h.sim.schedule_at(
+                at, h.members[0][index].send, h.members[1][index].addr,
+                chunk, chunk.size_bytes,
+            )
+        for at, index, what in faults:
+            h.sim.schedule_at(at, getattr(h.members[1][index], what))
+        h.sim.run(until=1.0)
+        return h
+
+    # One-way WAN 10 ms + ~0.3 ms on the wire: N1.0 re-shares at ~10.3 ms
+    # and N1.2 at ~12.3 ms; a share is ~0.25 ms in flight on the LAN.
+
+    def test_sender_down_while_its_shares_land(self):
+        # N1.0's burst is timed and charged, then N1.0 is down while the
+        # shares are in flight and up again before any inbox is drained:
+        # nobody may count them.
+        faults = [(0.0104, 0, "crash"), (0.011, 0, "recover")]
+        inbox = self._two_shares(InboxExchange, faults)
+        reference = self._two_shares(PerArrivalExchange, faults)
+        assert_equivalent(inbox, reference)
+        # Only N1.0 itself ends up with two chunks (its own and N1.2's).
+        assert inbox.receivers(1) == {NodeAddress(1, 0)}
+        peer = (NodeAddress(1, 1), inbox.entry.entry_id)
+        assert [row[0] for row in inbox.transport.outcomes[peer]] == [2]
+
+    def test_receiver_down_while_one_share_lands(self):
+        # N1.1 is down when N1.0's share lands and back up for N1.2's; the
+        # drain happens after the recovery and must still skip the first.
+        faults = [(0.0104, 1, "crash"), (0.011, 1, "recover")]
+        inbox = self._two_shares(InboxExchange, faults)
+        reference = self._two_shares(PerArrivalExchange, faults)
+        assert_equivalent(inbox, reference)
+        assert NodeAddress(1, 1) not in inbox.receivers(1)
+        assert NodeAddress(1, 3) in inbox.receivers(1)
+
+    def test_receiver_down_between_shares_counts_both(self):
+        # Down and up again strictly between the two arrivals: both count.
+        faults = [(0.0110, 1, "crash"), (0.0115, 1, "recover")]
+        inbox = self._two_shares(InboxExchange, faults)
+        reference = self._two_shares(PerArrivalExchange, faults)
+        assert_equivalent(inbox, reference)
+        assert NodeAddress(1, 1) in inbox.receivers(1)
+
+    def test_inbox_dies_with_the_rebuild(self):
+        h = Harness(InboxExchange, sizes=(7, 7, 7), coding="simulated")
+        h.replicate()
+        assert len(h.delivered) == 21
+        assert h.transport._inboxes == {}
+
+    def test_inbox_dropped_when_entry_is_delivered_another_way(self):
+        # One share pending at every peer (two needed), then the entry is
+        # delivered to the whole group by another path: the inboxes go,
+        # and a later share neither revives them nor schedules anything.
+        h = Harness(InboxExchange, sizes=(4, 4), coding="simulated")
+        entry = LogEntry(gid=1, seq=9, payload=b"z" * 500)
+        h.entries[entry.entry_id] = entry
+        root = digest(b"root:" + entry.digest)
+        for at, index in ((0.0, 0), (0.005, 2)):
+            chunk = _sim_chunk(entry, index, root, 3, 6, True)
+            h.sim.schedule_at(
+                at, h.members[0][index].send, h.members[1][index].addr,
+                chunk, chunk.size_bytes,
+            )
+        h.sim.run(until=0.012)
+        assert len(h.transport._inboxes) == 4
+        h.transport.mark_origin_delivered(entry.entry_id)
+        assert h.transport._inboxes == {}
+        h.sim.run(until=1.0)
+        assert h.transport._inboxes == {}
+        assert h.sim.pending_events == 0
+        assert h.transport.outcomes.keys() == {(NodeAddress(1, 0), entry.entry_id)}
+
+
+class TestChunkExchangeScaling:
+    """Guards the O(n) event cost of replicating an entry into a group of
+    n: with one delivery event per shared chunk it was O(n^2), and the
+    32-vs-8 ratio below about 9."""
+
+    @staticmethod
+    def _run(nodes_per_group, kernel="classic"):
+        from repro.protocols import GeoDeployment, protocol_by_name
+        from repro.topology import scaled_cluster
+        from repro.workloads import make_workload
+
+        deployment = GeoDeployment(
+            scaled_cluster(n_groups=3, nodes_per_group=nodes_per_group),
+            protocol_by_name("massbft"),
+            make_workload("ycsb-a"),
+            offered_load=2000.0,
+            seed=3,
+            kernel=kernel,
+        )
+        metrics = deployment.run(duration=0.4, warmup=0.1)
+        assert metrics.committed > 0
+        return deployment, metrics
+
+    def test_events_per_entry_grow_at_most_linearly(self):
+        per_entry = {}
+        for n in (8, 16, 32):
+            deployment, _ = self._run(n)
+            per_entry[n] = deployment.sim.events_processed / len(deployment.entries)
+        assert per_entry[8] < per_entry[16] < per_entry[32]
+        assert per_entry[32] <= 6 * per_entry[8]
+
+    def test_laned_kernel_identical_at_16_nodes(self):
+        classic, classic_metrics = self._run(16)
+        laned, laned_metrics = self._run(16, kernel="laned")
+        assert laned.sim.events_processed == classic.sim.events_processed
+        assert laned_metrics.summary() == classic_metrics.summary()
+        assert sum(laned.sim.events_by_lane) == laned.sim.events_processed

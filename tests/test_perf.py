@@ -60,6 +60,8 @@ def test_run_perf_full_report(tmp_path):
     e2e = report["end_to_end"]
     assert e2e["sim_seconds_per_wall_second"] > 0
     assert e2e["committed"] > 0
+    assert e2e["events"] > 0
+    assert e2e["events_per_commit"] == e2e["events"] / e2e["committed"]
     assert report["normalized_end_to_end"] > 0
 
     out = tmp_path / "BENCH_perf.json"

@@ -57,6 +57,57 @@ class TestEventQueue:
         assert queue.pop() is None
 
 
+class TestReservedSlots:
+    def test_reserved_slot_fires_where_an_eager_event_would(self):
+        # Three things known to happen at t=1.0; only the middle one is
+        # turned into an event, and only later. It must still fire
+        # between events scheduled before and after the reservation.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, "before")
+        first = sim.reserve_slots(3)
+        sim.schedule_at(1.0, fired.append, "after")
+        sim.schedule_at(0.5, lambda: sim.schedule_reserved(
+            1.0, first + 1, fired.append, "reserved"))
+        sim.run(until=2.0)
+        assert fired == ["before", "reserved", "after"]
+
+    def test_reserving_consumes_exactly_count_sequence_numbers(self):
+        queue = EventQueue()
+        assert queue.reserve(4) == 0
+        assert queue.push(1.0, lambda: None).seq == 4
+        assert queue.reserve(0) == 5
+        assert queue.push(1.0, lambda: None).seq == 5
+
+    def test_unused_slots_cost_no_event(self):
+        sim = Simulator()
+        sim.reserve_slots(100)
+        sim.run(until=1.0)
+        assert sim.events_processed == 0 and sim.pending_events == 0
+
+    def test_position_is_the_executing_events_slot(self):
+        sim = Simulator()
+        seen = []
+        slot = sim.reserve_slots(1)
+        sim.schedule_reserved(0.25, slot, lambda: seen.append(sim.position))
+        event = sim.schedule_at(0.25, lambda: seen.append(sim.position))
+        sim.run(until=1.0)
+        assert seen == [(0.25, slot), (0.25, event.seq)]
+
+    def test_slot_in_the_past_rejected(self):
+        sim = Simulator()
+        slot = sim.reserve_slots(1)
+        late = sim.schedule_at(0.5, lambda: None)
+
+        def too_late():
+            with pytest.raises(ValueError):
+                sim.schedule_reserved(0.5, slot, lambda: None)
+
+        sim.schedule_at(0.5, too_late)
+        sim.run(until=1.0)
+        assert late.seq > slot
+
+
 class TestVolatileEvents:
     def test_fires_and_returns_to_freelist(self):
         queue = EventQueue()

@@ -125,6 +125,21 @@ class TestLanedSimulatorStrict:
         assert lanes == [3]
         assert sim.events_by_lane[3] == 2
 
+    def test_reserved_slot_inherits_the_scheduling_lane(self):
+        plan = LanePlan.from_cluster(nationwide_cluster())
+        sim = LanedSimulator(plan)
+        lanes = []
+
+        def parent():
+            slot = sim.reserve_slots(1)
+            sim.schedule_reserved(0.2, slot, lambda: lanes.append(sim.current_lane))
+
+        with sim.lane_context(3):
+            sim.schedule(0.1, parent)
+        sim.run(until=1.0)
+        assert lanes == [3]
+        assert sim.events_by_lane[3] == 2
+
     def test_cross_lane_post_records_slack(self):
         plan = LanePlan.from_cluster(nationwide_cluster())
         sim = LanedSimulator(plan)

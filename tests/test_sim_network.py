@@ -162,6 +162,23 @@ class TestFailures:
         assert net.is_crashed(b)
         assert not net.is_crashed(a)
 
+    def test_was_down_judges_a_position_against_the_crash_history(self):
+        sim = Simulator()
+        net, a, b, inbox = two_group_net(sim)
+        assert not net.down_log  # nothing to consult until a crash
+        sim.schedule_at(1.0, net.crash_node, b)
+        sim.schedule_at(1.0, net.crash_node, b)  # repeated: no new interval
+        sim.schedule_at(2.0, net.recover_node, b)
+        sim.schedule_at(3.0, net.crash_group, 1)
+        tie = sim.reserve_slots(1)  # ordered after the crash at t=3.0
+        sim.run(until=4.0)
+        for at, down in ((0.5, False), (1.5, True), (2.5, False), (3.5, True)):
+            assert net.was_down(b, (at, 0)) is down
+        assert not net.was_down(b, (1.0, -1))  # same instant, ordered before
+        assert net.was_down(b, (3.0, tie))  # same instant, ordered after
+        assert not net.was_down(a, (3.5, 0))
+        assert len(net.down_log[b]) == 3
+
     def test_partition_blocks_wan(self):
         sim = Simulator()
         net, a, b, inbox = two_group_net(sim)
@@ -380,6 +397,101 @@ class TestBroadcastFastPath:
         times_b = {repr(a): t for a, t in inbox_b.items()}
         assert times_a == times_b
         assert net_a.lan_bytes_total == net_b.lan_bytes_total
+
+    @pytest.mark.parametrize("members", [4, 7, 12, 40])
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_protocol_broadcasts_match_send_loop(self, members, include_self):
+        # What every remaining broadcast_group caller sends: PBFT votes
+        # and the global phase's LAN notices (8+ receivers take the
+        # batched NIC drain).
+        from repro.consensus.messages import Commit, PrePrepare
+        from repro.core.global_raft import LocalCommitNotice, LocalTsNotice
+
+        payloads = [
+            PrePrepare(view=0, seq=1, digest=b"d" * 32, value=b"v" * 900),
+            Commit(view=0, seq=1, digest=b"d" * 32, sender=NodeAddress(0, 1),
+                   signature=b"s" * 64),
+            LocalTsNotice(assignments=((0, 1, 2, 3),) * 5),
+            LocalCommitNotice(gid=1, seq=4),
+        ]
+
+        def run(use_broadcast):
+            sim = Simulator()
+            net = Network(sim, rtt_matrix={(0, 1): 0.030})
+            got = []
+            for index in range(members):
+                net.register(
+                    NodeAddress(0, index),
+                    lambda m: got.append(
+                        (sim.now, repr(m.dst), repr(m.src), m.msg_id, m.sent_at,
+                         m.size_bytes, type(m.payload).__name__)
+                    ),
+                )
+            for turn, payload in enumerate(payloads):
+                src = NodeAddress(0, turn % members)
+                if use_broadcast:
+                    fanout = net.broadcast_group(
+                        src, 0, payload, payload.size_bytes, include_self
+                    )
+                    assert fanout == members - (not include_self)
+                else:
+                    for addr in net.group_members(0):
+                        if include_self or addr != src:
+                            net.send(src, addr, payload, payload.size_bytes)
+            sim.run_until_idle()
+            return got, net.lan_bytes_total, sim.events_processed
+
+        assert run(True) == run(False)
+
+    @pytest.mark.parametrize("loss,jitter", [(0.0, 0.0), (0.03, 0.005), (0.0, 0.005)])
+    def test_lan_burst_times_what_broadcast_would_deliver(self, loss, jitter):
+        # Same sender NIC charge, byte count, message ids, RNG draws (in
+        # the same order) and arrival times, whether the burst becomes
+        # delivery events or is only timed.
+        def net_for(sim):
+            return self._lan_net(
+                sim,
+                members=9,
+                lan_quality=LinkQuality(loss_probability=loss, jitter=jitter),
+                rng=RngRegistry(5),
+            )
+
+        src = NodeAddress(0, 3)
+        sim_a = Simulator()
+        net_a, inbox_a = net_for(sim_a)
+        for _ in range(20):
+            net_a.broadcast_group(src, 0, "x", 5_000)
+        sim_a.run_until_idle()
+        delivered = sorted(
+            (t, repr(a)) for a, got in inbox_a.items() for t, _ in got
+        )
+
+        sim_b = Simulator()
+        net_b, _ = net_for(sim_b)
+        timed = []
+        for _ in range(20):
+            receivers, arrivals = net_b.lan_burst(src, 5_000)
+            assert src not in receivers and len(arrivals) == len(receivers) == 8
+            timed += [(t, repr(a)) for a, t in zip(receivers, arrivals) if t is not None]
+        assert sorted(timed) == delivered
+        assert sim_b.pending_events == 0
+        assert net_b.lan_bytes_total == net_a.lan_bytes_total
+        assert net_b._next_msg_id == net_a._next_msg_id
+        assert net_b._rng.random() == net_a._rng.random()
+        assert (
+            net_b.monitor.counter("network.dropped").value
+            == net_a.monitor.counter("network.dropped").value
+        )
+        assert (loss > 0) == (len(timed) < 160)
+
+    def test_lan_burst_from_crashed_sender_is_empty_and_free(self):
+        sim = Simulator()
+        net, _ = self._lan_net(sim)
+        src = NodeAddress(0, 0)
+        net.crash_node(src)
+        receivers, arrivals = net.lan_burst(src, 5_000)
+        assert len(receivers) == 3 and len(arrivals) == 0
+        assert net.lan_bytes_total == 0 and net._next_msg_id == 1
 
     def test_jittered_broadcast_matches_send_loop(self):
         # Jitter forces the stochastic path; with identical seeds it must

@@ -10,7 +10,12 @@ from repro.ledger.state import KVStore
 from repro.workloads import make_workload
 from repro.workloads.smallbank import CHECKING, SAVINGS, SmallBankWorkload
 from repro.workloads.tpcc import TpccWorkload, district_key
-from repro.workloads.ycsb import YcsbWorkload
+from repro.workloads.ycsb import (
+    N_COLUMNS,
+    YcsbWorkload,
+    initial_column,
+    initial_row,
+)
 from repro.workloads.zipf import ZipfGenerator
 
 
@@ -115,6 +120,14 @@ class TestYcsb:
         for _ in range(20):
             t = wl.generate(random.Random(3))
             ex.execute_batch([t])  # must not raise on unmaterialized rows
+
+    def test_single_column_default_equals_row_column(self):
+        # Reads default an unmaterialized column without building the row.
+        for key in (0, 7, 10**6 - 1):
+            row = initial_row(key)
+            assert len(row) == N_COLUMNS
+            for column in range(N_COLUMNS):
+                assert initial_column(key, column) == row[f"field{column}"]
 
 
 class TestSmallBank:
