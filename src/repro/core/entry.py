@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, NamedTuple, Optional, Tuple
+from typing import Any, Collection, NamedTuple, Optional, Tuple
 
 from repro.crypto.hashing import digest
 
@@ -31,7 +31,9 @@ class EntryId(NamedTuple):
 class LogEntry:
     """A batch of transactions certified and replicated as one unit.
 
-    ``transactions`` holds the transaction objects for execution;
+    ``batch`` holds the transactions for execution (a
+    :class:`repro.ledger.transactions.TxBatch`, which only builds
+    transaction objects when :attr:`transactions` is asked for);
     ``payload`` holds their serialized bytes (what actually travels and is
     erasure-coded). ``declared_size`` lets simulations decouple the wire
     size from the (possibly compacted) in-memory payload.
@@ -40,7 +42,7 @@ class LogEntry:
     gid: int
     seq: int
     payload: bytes
-    transactions: Tuple[Any, ...] = ()
+    batch: Collection[Any] = ()
     created_at: float = 0.0
     declared_size: Optional[int] = None
 
@@ -56,8 +58,12 @@ class LogEntry:
         return len(self.payload)
 
     @property
+    def transactions(self) -> Tuple[Any, ...]:
+        return tuple(self.batch)
+
+    @property
     def tx_count(self) -> int:
-        return len(self.transactions)
+        return len(self.batch)
 
     @cached_property
     def digest(self) -> bytes:

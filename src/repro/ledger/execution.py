@@ -16,19 +16,150 @@ Aborted transactions carry over to the head of the next batch —
 deterministically, so every replica re-executes the same schedule. This
 is what produces the paper's TPC-C observation (Fig 8d): bigger MassBFT
 batches hit the Payment hotspot more often and the abort rate rises.
+
+Steps 2-3 are one function of the batch's key sets, :func:`aria_aborts`.
+In *modeled* mode (no execution logic) the write sets are the declared
+ones, so the whole outcome is a pure function of the batch: it is
+computed once as the batch's cached :class:`ConflictPlan` and every
+observer's pipeline merely applies it. With logic registered the write
+sets come from running the logic against this replica's store, so each
+executor decides for itself and nothing is shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ledger.state import KVStore
-from repro.ledger.transactions import Transaction
+from repro.ledger.transactions import Transaction, TxBatch
 
 #: Full-execution logic: fn(store, txn) -> write map {key: value}.
 #: Registered per transaction ``kind`` by the owning workload.
 TxLogic = Callable[[KVStore, Transaction], Dict[str, Any]]
+
+#: Retry count in the version marker a modeled write installs: a fresh
+#: transaction has aborted zero times, and one in the sequential lane
+#: exactly once (the lane commits unconditionally).
+FRESH, RETRIED = 0, 1
+
+
+def aria_aborts(read_sets: Sequence[Sequence], write_sets: Sequence) -> List[int]:
+    """Batch indices Aria aborts, ascending.
+
+    ``write_sets[i]`` iterates the keys transaction ``i`` writes (a key
+    tuple, or its buffered write map). Each written key is reserved by
+    its lowest-index writer — the first one met in batch order. A
+    transaction then aborts on WAW (it writes a key reserved earlier) or
+    RAW (it read a key an earlier transaction wrote).
+
+    Blind writers (empty read set) never abort: their values cannot
+    depend on stale reads, so committing all of them in index order
+    (later overwrites earlier) is serializable — Aria's reordering
+    optimisation for write-only transactions. This is what keeps Zipf-hot
+    blind updates (YCSB) from starving in the retry queue.
+    """
+    reservations: Dict[Any, int] = {}
+    reserve = reservations.setdefault
+    for index, keys in enumerate(write_sets):
+        for key in keys:
+            reserve(key, index)
+    aborted: List[int] = []
+    if not reservations:
+        return aborted
+    holder_of = reservations.get
+    abort = aborted.append
+    for index, read_keys in enumerate(read_sets):
+        if not read_keys:
+            continue
+        for key in write_sets[index]:  # WAW
+            if reservations[key] < index:
+                abort(index)
+                break
+        else:
+            for key in read_keys:  # RAW
+                holder = holder_of(key)
+                if holder is not None and holder < index:
+                    abort(index)
+                    break
+    return aborted
+
+
+def _split(column: Optional[Sequence], aborted: Sequence[int]) -> Tuple[tuple, tuple]:
+    """``column`` as (survivors' values, aborted values), batch order."""
+    if column is None:
+        return (), ()
+    if not aborted:
+        return tuple(column), ()
+    gone = set(aborted)
+    kept = [value for index, value in enumerate(column) if index not in gone]
+    return tuple(kept), tuple([column[index] for index in aborted])
+
+
+class ConflictPlan:
+    """Aria's decision for one batch, by batch index.
+
+    ``aborted`` lists the aborted indices; ``commit_times`` /
+    ``commit_tenants`` are the survivors' due times and tenants in batch
+    order, ``carry_times`` / ``carry_tenants`` those of the aborted
+    transactions, which commit at the head of the next entry. ``writes``
+    is the survivors' write map (later index wins). A modeled-mode plan
+    also holds ``carry_writes``, the aborted transactions' markers as
+    the sequential lane writes them one entry later.
+    """
+
+    __slots__ = (
+        "aborted",
+        "commit_times",
+        "commit_tenants",
+        "carry_times",
+        "carry_tenants",
+        "writes",
+        "carry_writes",
+    )
+
+    def __init__(
+        self,
+        batch: TxBatch,
+        aborted: Sequence[int],
+        writes: Dict[str, Any],
+        carry_writes: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.aborted = aborted
+        self.commit_times, self.carry_times = _split(batch.due, aborted)
+        self.commit_tenants, self.carry_tenants = _split(batch.tenants, aborted)
+        self.writes = writes
+        self.carry_writes = carry_writes
+
+
+def conflict_plan(batch: TxBatch) -> ConflictPlan:
+    """The modeled-mode plan of ``batch``, computed on first use.
+
+    With no logic every write set is the declared one with
+    ``("v", tx_id, retries)`` markers, so nothing here depends on a
+    store: one plan serves every observer that executes the batch.
+    """
+    plan = batch.plan
+    if plan is not None:
+        return plan
+    read_sets, write_sets = batch.key_sets()
+    aborted = aria_aborts(read_sets, write_sets)
+    gone = set(aborted)
+    ids = batch.tx_ids()
+    name = batch.key_name
+    writes: Dict[str, Any] = {}
+    carry_writes: Dict[str, Any] = {}
+    for index, keys in enumerate(write_sets):
+        if not keys:
+            continue
+        if index in gone:
+            target, marker = carry_writes, ("v", ids[index], RETRIED)
+        else:
+            target, marker = writes, ("v", ids[index], FRESH)
+        for key in keys:
+            target[key if name is None else name(key)] = marker
+    plan = batch.plan = ConflictPlan(batch, aborted, writes, carry_writes)
+    return plan
 
 
 @dataclass
@@ -56,6 +187,9 @@ class AriaExecutor:
     without logic run in *modeled* mode, where the declared write set is
     installed with placeholder version markers — conflict detection (the
     behaviour the benchmarks depend on) is identical in both modes.
+
+    The executor never writes to a ``Transaction``: every observer's
+    executor is handed the same objects.
     """
 
     def __init__(
@@ -86,9 +220,7 @@ class AriaExecutor:
             if fn is not None:
                 writes = fn(self.store, tx)
             else:
-                writes = {
-                    key: ("v", tx.tx_id, tx.retries) for key in tx.write_keys
-                }
+                writes = dict.fromkeys(tx.write_keys, ("v", tx.tx_id, RETRIED))
             self.store.apply_writes(writes)
             committed.append(tx)
         self.total_committed += len(committed)
@@ -96,166 +228,106 @@ class AriaExecutor:
 
     def execute_batch(self, batch: Sequence[Transaction]) -> BatchResult:
         """Run one Aria batch; applies surviving writes to the store."""
-        result = BatchResult()
-        if not batch:
-            return result
-        if not self.logic:
-            # Pure modeled mode: write sets are the declared keys with
-            # version markers, so buffering per-transaction write dicts
-            # only to re-read the same keys is pointless. Same reservation
-            # table, same abort decisions, same final write map.
-            return self._execute_batch_modeled(batch, result)
+        if not isinstance(batch, TxBatch):
+            batch = TxBatch(batch)
+        committed, aborted = _split(batch.transactions, self.run(batch).aborted)
+        return BatchResult(list(committed), list(aborted))
 
-        # Execute phase: snapshot reads, buffered writes. The reservation
-        # table (lowest batch index wins each written key) is built in the
-        # same pass — the first writer encountered in batch order IS the
-        # lowest-index writer, so a separate reservation sweep adds
-        # nothing but iteration cost.
+    def run(self, batch: TxBatch) -> ConflictPlan:
+        """Execute ``batch`` as one Aria batch and say what it decided."""
+        if self.logic:
+            plan = self._run_logic(batch)
+        else:
+            plan = conflict_plan(batch)
+        if not batch:
+            return plan
+        self.store.apply_writes(plan.writes)
+        self.batches_executed += 1
+        self.total_committed += len(batch) - len(plan.aborted)
+        self.total_aborted += len(plan.aborted)
+        return plan
+
+    def run_carried(self, batch: TxBatch, plan: ConflictPlan) -> None:
+        """Commit, through the sequential lane, what ``plan`` aborted."""
+        if plan.carry_writes is None:
+            txns = batch.transactions
+            self.execute_sequential([txns[index] for index in plan.aborted])
+        else:
+            self.store.apply_writes(plan.carry_writes)
+            self.total_committed += len(plan.aborted)
+
+    def _run_logic(self, batch: TxBatch) -> ConflictPlan:
+        """Execute phase with logic: every transaction reads the
+        batch-start snapshot and buffers its writes (kinds without logic
+        buffer version markers); the plan's ``writes`` are the survivors'.
+        The outcome depends on this replica's store, so it is never
+        cached on the batch, and it has no ``carry_writes``: the
+        sequential lane has to run the logic again."""
+        txns = batch.transactions
         logic = self.logic
         store = self.store
         buffered: List[Dict[str, Any]] = []
         buffer_writes = buffered.append
-        reservations: Dict[str, int] = {}
-        reserve = reservations.setdefault
-        for index, tx in enumerate(batch):
+        for tx in txns:
             fn = logic.get(tx.kind)
             if fn is not None:
-                writes = fn(store, tx)
+                buffer_writes(fn(store, tx))
             else:
-                # Modeled mode: install version markers for the declared
-                # write set. 0/1 keys (every YCSB transaction) skip the
-                # comprehension frame.
-                keys = tx.write_keys
-                if not keys:
-                    writes = {}
-                elif len(keys) == 1:
-                    writes = {keys[0]: ("v", tx.tx_id, tx.retries)}
-                else:
-                    writes = {key: ("v", tx.tx_id, tx.retries) for key in keys}
-            buffer_writes(writes)
-            for key in writes:
-                reserve(key, index)
-
-        # Commit phase: WAW / RAW checks, atomic apply of survivors.
-        #
-        # Blind writers (empty read set) skip the WAW abort: their write
-        # values cannot depend on stale reads, so committing all of them
-        # with deterministic index order (later overwrites earlier) is
-        # serializable — Aria's reordering optimisation for write-only
-        # transactions. This is what keeps Zipf-hot blind updates (YCSB)
-        # from starving in the retry queue. They also have no reads to go
-        # stale, so the whole conflict check collapses to the read-set
-        # path below; explicit loops with early exit replace the original
-        # any() generator pair (same abort decisions, no per-transaction
-        # generator allocation on this saturated-load hot path).
+                buffer_writes(
+                    dict.fromkeys(tx.write_keys, ("v", tx.tx_id, FRESH))
+                )
+        aborted = aria_aborts([tx.read_keys for tx in txns], buffered)
+        gone = set(aborted)
         final_writes: Dict[str, Any] = {}
-        committed = result.committed
-        aborted = result.aborted
-        reservation_of = reservations.get
-        apply = final_writes.update
-        index = 0
-        for tx, writes in zip(batch, buffered):
-            abort = False
-            read_keys = tx.read_keys
-            if read_keys:
-                for key in writes:  # WAW (non-blind writers only)
-                    if reservations[key] < index:
-                        abort = True
-                        break
-                if not abort:
-                    for key in read_keys:  # RAW
-                        holder = reservation_of(key)
-                        if holder is not None and holder < index:
-                            abort = True
-                            break
-            if abort:
-                tx.retries += 1
-                aborted.append(tx)
-            else:
-                if writes:
-                    apply(writes)
-                committed.append(tx)
-            index += 1
-        self.store.apply_writes(final_writes)
+        for index, writes in enumerate(buffered):
+            if writes and index not in gone:
+                final_writes.update(writes)
+        return ConflictPlan(batch, aborted, final_writes)
 
-        self.batches_executed += 1
-        self.total_committed += len(result.committed)
-        self.total_aborted += len(result.aborted)
-        return result
 
-    def _execute_batch_modeled(
-        self, batch: Sequence[Transaction], result: BatchResult
-    ) -> BatchResult:
-        """Modeled-mode fast lane of :meth:`execute_batch`.
+class EntryResult(NamedTuple):
+    """What executing one ordered entry committed and aborted: the due
+    times (and tenants) of the committed transactions — the previous
+    entry's aborts first, then this entry's survivors — and how many of
+    this entry's transactions aborted."""
 
-        With no logic registered every write set is exactly
-        ``tx.write_keys`` with ``("v", tx_id, retries)`` markers, so the
-        execute phase buffers nothing: one pass builds the reservation
-        table from the declared keys, one pass makes the identical
-        WAW/RAW decisions and installs survivors' markers (later batch
-        index overwrites earlier, as dict-update order did).
-        """
-        reservations: Dict[str, int] = {}
-        reserve = reservations.setdefault
-        for index, tx in enumerate(batch):
-            for key in tx.write_keys:
-                reserve(key, index)
-
-        final_writes: Dict[str, Any] = {}
-        committed = result.committed
-        aborted = result.aborted
-        reservation_of = reservations.get
-        index = 0
-        for tx in batch:
-            abort = False
-            read_keys = tx.read_keys
-            if read_keys:
-                for key in tx.write_keys:  # WAW (non-blind writers only)
-                    if reservations[key] < index:
-                        abort = True
-                        break
-                if not abort:
-                    for key in read_keys:  # RAW
-                        holder = reservation_of(key)
-                        if holder is not None and holder < index:
-                            abort = True
-                            break
-            if abort:
-                tx.retries += 1
-                aborted.append(tx)
-            else:
-                for key in tx.write_keys:
-                    final_writes[key] = ("v", tx.tx_id, tx.retries)
-                committed.append(tx)
-            index += 1
-        self.store.apply_writes(final_writes)
-
-        self.batches_executed += 1
-        self.total_committed += len(committed)
-        self.total_aborted += len(aborted)
-        return result
+    commit_times: Tuple[float, ...]
+    commit_tenants: Tuple[int, ...]
+    aborted: int
 
 
 class ExecutionPipeline:
     """Entry-by-entry execution with deterministic abort carryover.
 
-    Every replica feeds ordered entries' transaction lists through an
-    identical pipeline: ``batch_k = aborted(batch_{k-1}) + txns(entry_k)``.
+    Every replica feeds ordered entries' batches through an identical
+    pipeline: ``batch_k = aborted(batch_{k-1}) + txns(entry_k)``.
     Because the orderer output and the executor are both deterministic,
-    replicas never diverge.
+    replicas never diverge. Which transactions are waiting for a retry is
+    this pipeline's own state; the shared batch is never written to.
     """
 
     def __init__(self, executor: Optional[AriaExecutor] = None) -> None:
         self.executor = executor or AriaExecutor()
-        self.carryover: List[Transaction] = []
+        #: The last entry's (batch, plan) while it has aborts to retry.
+        self._carried: Optional[Tuple[TxBatch, ConflictPlan]] = None
         self.entries_executed = 0
 
     @property
     def store(self) -> KVStore:
         return self.executor.store
 
-    def execute_entry(self, transactions: Sequence[Transaction]) -> BatchResult:
-        """Execute one ordered entry's transactions (plus carried aborts).
+    @property
+    def carryover(self) -> List[Transaction]:
+        """The transactions that aborted in the last entry (each exactly
+        once) and commit at the head of the next."""
+        if self._carried is None:
+            return []
+        batch, plan = self._carried
+        txns = batch.transactions
+        return [txns[index] for index in plan.aborted]
+
+    def execute_entry(self, batch: Sequence[Transaction]) -> EntryResult:
+        """Execute one ordered entry's batch (plus carried aborts).
 
         Carryover (transactions that aborted in the previous batch) runs
         first through the sequential fallback lane — they commit
@@ -264,16 +336,23 @@ class ExecutionPipeline:
         contention fallback; without it, a hot key receiving more than
         one write per batch accumulates an unbounded retry backlog.
         """
-        fallback_committed = (
-            self.executor.execute_sequential(self.carryover)
-            if self.carryover
-            else []
-        )
-        result = self.executor.execute_batch(list(transactions))
-        result.committed = fallback_committed + result.committed
-        self.carryover = list(result.aborted)
+        if not isinstance(batch, TxBatch):
+            batch = TxBatch(batch)
+        executor = self.executor
+        times: Tuple[float, ...] = ()
+        tenants: Tuple[int, ...] = ()
+        if self._carried is not None:
+            carried_batch, carried = self._carried
+            executor.run_carried(carried_batch, carried)
+            times, tenants = carried.carry_times, carried.carry_tenants
+        plan = executor.run(batch)
+        self._carried = (batch, plan) if plan.aborted else None
         self.entries_executed += 1
-        return result
+        return EntryResult(
+            times + plan.commit_times,
+            tenants + plan.commit_tenants,
+            len(plan.aborted),
+        )
 
     @property
     def abort_rate(self) -> float:

@@ -10,9 +10,8 @@ sizes (YCSB-A 201 B, YCSB-B 150 B, SmallBank 108 B, TPC-C 232 B).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.crypto.signatures import SIGNATURE_SIZE
 
@@ -20,7 +19,19 @@ from repro.crypto.signatures import SIGNATURE_SIZE
 #: signature (verified during local PBFT — the paper's dominant CPU cost).
 TX_ENVELOPE_SIZE = 16 + SIGNATURE_SIZE
 
-_tx_ids = itertools.count(1)
+_next_tx_id = 1
+
+
+def reserve_tx_ids(count: int) -> int:
+    """Reserve ``count`` consecutive transaction ids; returns the first.
+
+    One process-wide sequence, so a batch's range is never handed out
+    again — to another batch, another group or a lone ``Transaction``.
+    """
+    global _next_tx_id
+    first = _next_tx_id
+    _next_tx_id += count
+    return first
 
 
 @dataclass(slots=True)
@@ -32,10 +43,12 @@ class Transaction:
     consumes. ``created_at`` stamps client submission time (simulated
     seconds) for end-to-end latency measurement.
 
-    The serialized form and wire size are memoized: both are pure
-    functions of the immutable identity fields (``retries`` is the only
-    field mutated after creation and neither depends on it), and entry
-    building / Merkle hashing / size accounting all re-request them.
+    The wire size is memoized (a pure function of the immutable identity
+    fields that size accounting re-requests); the serialized form is not
+    — an entry payload is built from it once, and a kept copy per
+    transaction would sit in memory for the whole run. Executors never
+    write to a transaction — every observer's pipeline shares the same
+    objects — so retry state lives in the pipeline, not here.
     """
 
     kind: str
@@ -44,14 +57,12 @@ class Transaction:
     params: Dict[str, Any] = field(default_factory=dict)
     payload_bytes: int = 0
     created_at: float = 0.0
-    tx_id: int = field(default_factory=lambda: next(_tx_ids))
-    retries: int = 0
+    tx_id: int = field(default_factory=lambda: reserve_tx_ids(1))
     #: Tenant index under a multi-tenant traffic spec (0 otherwise).
     #: Stamped by the load stage at arrival attribution; deliberately
     #: outside the serialized identity so wire bytes are unchanged.
     tenant: int = 0
     _size: int = field(default=0, init=False, repr=False, compare=False)
-    _ser: bytes = field(default=b"", init=False, repr=False, compare=False)
 
     @property
     def size_bytes(self) -> int:
@@ -72,9 +83,6 @@ class Transaction:
 
     def serialize(self) -> bytes:
         """Deterministic byte encoding (entry payloads are built from this)."""
-        body = self._ser
-        if body:
-            return body
         parts = [
             self.kind,
             str(self.tx_id),
@@ -89,11 +97,77 @@ class Transaction:
         target = self.size_bytes
         if len(body) < target:
             body = body + b"\x00" * (target - len(body))
-        self._ser = body
         return body
 
     def __repr__(self) -> str:
         return f"Tx#{self.tx_id}({self.kind})"
+
+
+class TxBatch:
+    """An ordered batch of client transactions: the unit that flows
+    load -> entry -> ordering -> execution.
+
+    Consumers read a batch through its columns — ``due`` (client
+    submission times), ``tenants``, :meth:`tx_ids`, :meth:`key_sets`,
+    ``size_bytes`` — and only ask for :attr:`transactions` when they need
+    the objects (full execution, payload serialisation, admission queues,
+    tests). This class wraps transactions that already exist. A workload
+    that generates the columns directly subclasses it, leaves ``_txns``
+    as ``None`` and implements :meth:`_build`, so its ``Transaction``
+    objects come into being on first use or never.
+
+    ``plan`` caches the batch's modeled-mode conflict plan
+    (:func:`repro.ledger.execution.conflict_plan`).
+    """
+
+    __slots__ = ("due", "tenants", "plan", "_txns")
+
+    #: Maps a :meth:`key_sets` key to the storage key it stands for;
+    #: ``None`` when the keys already are storage keys.
+    key_name = None
+
+    def __init__(
+        self,
+        transactions: Iterable[Transaction] = (),
+        tenants: Optional[List[int]] = None,
+    ) -> None:
+        """``tenants`` is the tenant column of a batch formed under a
+        multi-tenant traffic spec; single-tenant batches carry none."""
+        txns = self._txns = tuple(transactions)
+        self.due: List[float] = [tx.created_at for tx in txns]
+        self.tenants = tenants
+        self.plan = None
+
+    def __len__(self) -> int:
+        return len(self.due)
+
+    def __iter__(self) -> Iterator[Transaction]:
+        return iter(self.transactions)
+
+    @property
+    def transactions(self) -> Tuple[Transaction, ...]:
+        """The batch as ``Transaction`` objects (built once, then kept)."""
+        txns = self._txns
+        if txns is None:
+            txns = self._txns = tuple(self._build())
+        return txns
+
+    def _build(self) -> Iterable[Transaction]:
+        raise NotImplementedError
+
+    @property
+    def size_bytes(self) -> int:
+        """Sum of the transactions' wire sizes."""
+        return sum(tx.size_bytes for tx in self._txns)
+
+    def tx_ids(self) -> Sequence[int]:
+        return [tx.tx_id for tx in self._txns]
+
+    def key_sets(self) -> Tuple[Sequence[Sequence], Sequence[Sequence]]:
+        """Parallel ``(read sets, write sets)`` columns for Aria's
+        conflict rules; keys are whatever :attr:`key_name` accepts."""
+        txns = self._txns
+        return [tx.read_keys for tx in txns], [tx.write_keys for tx in txns]
 
 
 def serialize_batch(transactions: Tuple[Transaction, ...]) -> bytes:

@@ -2,9 +2,9 @@
 
 One :class:`LoadStage` per group. On each batch timer it decides whether
 the group may propose (NIC/CPU backpressure, the global phase's token or
-pipeline window, round/epoch windows), materialises the arrivals that
-accumulated, forms a :class:`LogEntry`, and hands it to the local
-consensus stage. Gate evaluations publish
+pipeline window, round/epoch windows), generates the batch of arrivals
+that accumulated, forms a :class:`LogEntry` around it, and hands it to
+the local consensus stage. Gate evaluations publish
 :class:`~repro.protocols.runtime.events.QueueDepthsSampled` /
 :class:`~repro.protocols.runtime.events.ProposalGated` so saturation
 behaviour is observable without instrumenting the stage.
@@ -23,7 +23,7 @@ from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from repro.core.entry import LogEntry
-from repro.ledger.transactions import Transaction, serialize_batch
+from repro.ledger.transactions import Transaction, TxBatch, serialize_batch
 from repro.protocols.runtime.events import (
     ClientArrivals,
     EntryBatched,
@@ -38,8 +38,9 @@ class ClientLoad:
     """Open-loop client arrivals for one group, generated lazily.
 
     Arrival times come from ``process`` (default: one every ``1/rate``
-    seconds) but transaction objects are only materialised when a batch
-    forms, so no per-arrival simulator events exist. A bounded backlog
+    seconds) but transactions are only generated when a batch forms —
+    one :class:`TxBatch` per call of the workload's batch generator — so
+    no per-arrival simulator events exist. A bounded backlog
     models client admission: arrivals older than ``queue_seconds`` are
     dropped (clients time out), keeping measured latency meaningful at
     saturation. With a :class:`~repro.traffic.tenancy.TenantMix`, every
@@ -100,68 +101,60 @@ class ClientLoad:
                 sorted(range(len(priorities)), key=lambda i: -priorities[i])
             )
 
-    def take(self, now: float, max_n: Optional[int] = None) -> List[Transaction]:
-        """Materialise the transactions admitted by ``now``."""
+    def take(self, now: float, max_n: Optional[int] = None) -> TxBatch:
+        """The batch of transactions admitted by ``now``."""
+        gen = self._gen
+        if gen is None:
+            gen = self._gen = self.workload.batch_generator_for(self.rng)
         if self._simple:
-            return self._take_simple(now, max_n)
-        return self._take_buffered(now, max_n)
+            return self._take_simple(gen, now, max_n)
+        return self._take_buffered(gen, now, max_n)
 
     # ------------------------------------------------------------------
     # Fast path: constant rate, single tenant class
     # ------------------------------------------------------------------
 
-    def _take_simple(self, now: float, max_n: Optional[int]) -> List[Transaction]:
+    def _take_simple(self, gen, now: float, max_n: Optional[int]) -> TxBatch:
         process = self.process
-        # Age out arrivals beyond the admission queue (they never
-        # materialise, so they consume no workload rng draws).
+        # Age out arrivals beyond the admission queue (they are never
+        # generated, so they consume no workload rng draws).
         missed = process.drop_until(now - self.queue_seconds)
         if missed:
             self.offered += missed
             self.dropped += missed
-        gen = self._gen
-        if gen is None:
-            gen = self._gen = self.workload.generator_for(self.rng)
-        # Saturated-load hot loop (one iteration per offered transaction):
-        # the arrival clock accumulates inside ``take_until`` with the
-        # same sequence of float additions as before.
-        txns = [gen(t) for t in process.take_until(now, max_n)]
-        n = len(txns)
+        batch = gen(process.take_until(now, max_n))
+        n = len(batch)
         self.offered += n
         self.admitted += n
-        return txns
+        return batch
 
     # ------------------------------------------------------------------
     # Buffered path: arbitrary processes, tenants, priority shedding
     # ------------------------------------------------------------------
 
-    def _take_buffered(self, now: float, max_n: Optional[int]) -> List[Transaction]:
-        gen = self._gen
-        if gen is None:
-            gen = self._gen = self.workload.generator_for(self.rng)
+    def _take_buffered(self, gen, now: float, max_n: Optional[int]) -> TxBatch:
         tenants = self.tenants
         queues = self._queues
-        # 1. Materialise everything that arrived by now into the
-        #    admission queues. With tenants, attribution happens at
-        #    arrival time (a seeded coin over the rate shares) so shed
-        #    decisions and drop counts are tenant-attributable.
-        times = self.process.take_until(now)
-        self.offered += len(times)
+        # 1. Everything that arrived by now goes into the admission
+        #    queues as transaction objects (they may wait there across
+        #    batches). With tenants, attribution happens at arrival time
+        #    (a seeded coin over the rate shares, from its own stream) so
+        #    shed decisions and drop counts are tenant-attributable.
+        arrived = gen(self.process.take_until(now)).transactions
+        self.offered += len(arrived)
         if tenants is not None:
             pick = tenants.pick
             tenant_rng = self.tenant_rng
             tenant_priorities = tenants.priorities
             prio_index = self._prio_index
             offered_by_tenant = self.offered_by_tenant
-            for t in times:
+            for tx in arrived:
                 tenant = pick(tenant_rng)
                 offered_by_tenant[tenant] += 1
-                tx = gen(t)
                 tx.tenant = tenant
                 queues[prio_index[tenant_priorities[tenant]]].append(tx)
         else:
-            queue = queues[0]
-            for t in times:
-                queue.append(gen(t))
+            queues[0].extend(arrived)
         # 2. Shed: drop queued arrivals older than the admission window
         #    (clients time out). Queues are FIFO per priority, so aged
         #    entries sit at the head.
@@ -190,7 +183,9 @@ class ClientLoad:
                     admitted_by_tenant[tx.tenant] += 1
                 budget -= 1
         self.admitted += len(txns)
-        return txns
+        if tenants is None:
+            return TxBatch(txns)
+        return TxBatch(txns, [tx.tenant for tx in txns])
 
 
 class LoadStage:
@@ -381,32 +376,32 @@ class LoadStage:
         group = self.group
         deployment = self.deployment
         now = group.sim.now
-        txns = self.load.take(now, max_n=self.max_batch_txns)
+        batch = self.load.take(now, max_n=self.max_batch_txns)
         self._publish_arrivals(now)
-        if not txns:
+        if not batch:
             return None
         group.next_seq += 1
-        entry = self._make_entry(group.next_seq, txns, now)
+        entry = self._make_entry(group.next_seq, batch, now)
         deployment.entries[entry.entry_id] = entry
-        waits = [now - tx.created_at for tx in txns]
+        waits = [now - due for due in batch.due]
         deployment.bus.publish(
-            EntryBatched(entry.entry_id, now, len(txns), sum(waits) / len(waits))
+            EntryBatched(entry.entry_id, now, len(batch), sum(waits) / len(waits))
         )
         group.global_phase.on_entry_batched(entry)
         group.local.propose(entry)
         return entry
 
-    def _make_entry(self, seq: int, txns: List[Transaction], now: float) -> LogEntry:
-        wire_size = sum(tx.size_bytes for tx in txns) + 64
+    def _make_entry(self, seq: int, batch: TxBatch, now: float) -> LogEntry:
+        wire_size = batch.size_bytes + 64
         if self.deployment.materialize_payloads:
-            payload = serialize_batch(tuple(txns))
+            payload = serialize_batch(batch.transactions)
         else:
             payload = b""
         return LogEntry(
             gid=self.group.gid,
             seq=seq,
             payload=payload,
-            transactions=tuple(txns),
+            batch=batch,
             created_at=now,
             declared_size=wire_size,
         )

@@ -93,7 +93,7 @@ class OrderingExecStage:
                 return
             if node.ledger is not None:
                 node.ledger.append(entry)
-            result = node.pipeline.execute_entry(entry.transactions)
+            result = node.pipeline.execute_entry(entry.batch)
             cost = deployment.costs.execute_seconds(entry.tx_count)
             node.consume_cpu(cost, _noop)
             deployment.groups[node.gid].note_executed_round(entry_id)
@@ -105,7 +105,7 @@ class OrderingExecStage:
                 # traffic specs; single-tenant runs publish the same
                 # event shape (and bytes) as before.
                 if deployment.tenant_names is not None:
-                    tenants = tuple(tx.tenant for tx in result.committed)
+                    tenants = result.commit_tenants
                 else:
                     tenants = ()
                 deployment.bus.publish(
@@ -113,8 +113,8 @@ class OrderingExecStage:
                         entry_id,
                         deployment.sim.now,
                         entry_id.gid,
-                        tuple(tx.created_at for tx in result.committed),
-                        len(result.aborted),
+                        result.commit_times,
+                        result.aborted,
                         tenants,
                     )
                 )

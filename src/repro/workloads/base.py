@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 from repro.ledger.execution import AriaExecutor, TxLogic
 from repro.ledger.state import KVStore
-from repro.ledger.transactions import Transaction
+from repro.ledger.transactions import Transaction, TxBatch
 
 
 class Workload(abc.ABC):
@@ -38,16 +38,26 @@ class Workload(abc.ABC):
     def generator_for(
         self, rng: random.Random
     ) -> Callable[[float], Transaction]:
-        """A bound single-argument generator: ``gen(now) -> Transaction``.
-
-        The client load loop calls the generator once per offered
-        transaction, so workloads may override this to return a closure
-        with all per-stream state pre-bound. The default simply delegates
-        to :meth:`generate`; overrides MUST draw from ``rng`` in exactly
-        the order ``generate`` does, or seeded runs change.
-        """
+        """A bound single-argument generator: ``gen(now) -> Transaction``."""
         def gen(now: float) -> Transaction:
             return self.generate(rng, now=now)
+
+        return gen
+
+    def batch_generator_for(
+        self, rng: random.Random
+    ) -> Callable[[List[float]], TxBatch]:
+        """A bound batch generator: ``gen(due_times) -> TxBatch``, one
+        transaction per due time.
+
+        The client load calls it once per batch. The default wraps
+        :meth:`generate`'s transactions; a workload may override it to
+        return columns instead of objects, and then MUST draw from
+        ``rng`` in exactly the order ``generate`` does, or seeded runs
+        change.
+        """
+        def gen(due: List[float]) -> TxBatch:
+            return TxBatch([self.generate(rng, now=now) for now in due])
 
         return gen
 

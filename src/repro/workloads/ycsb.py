@@ -14,11 +14,17 @@ conflict patterns) is unchanged.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict
+from array import array
+from typing import Any, Dict, Iterator, List
 
 from repro.ledger.execution import TxLogic
 from repro.ledger.state import KVStore, table_key
-from repro.ledger.transactions import Transaction
+from repro.ledger.transactions import (
+    TX_ENVELOPE_SIZE,
+    Transaction,
+    TxBatch,
+    reserve_tx_ids,
+)
 from repro.workloads.base import Workload
 from repro.workloads.zipf import ZipfGenerator
 
@@ -32,6 +38,11 @@ COLUMN_BYTES = 100
 READ_PAYLOAD = 64
 UPDATE_PAYLOAD = 178
 
+#: An update's new column value is ``upd:<n>`` for ``n`` in this range;
+#: in a batch's ``values`` column ``READ`` marks a read instead.
+VALUE_RANGE = 1 << 30
+READ = -1
+
 
 def initial_column(key: int, column: int) -> str:
     """The deterministic initial contents of one column of row ``key``."""
@@ -41,6 +52,77 @@ def initial_column(key: int, column: int) -> str:
 def initial_row(key: int) -> Dict[str, str]:
     """The deterministic initial contents of row ``key``."""
     return {f"field{c}": initial_column(key, c) for c in range(N_COLUMNS)}
+
+
+def _storage_key(code: int) -> str:
+    """Key code (``key * N_COLUMNS + column``) to column storage key
+    (the string :meth:`YcsbWorkload.column_key` builds)."""
+    return f"{TABLE}/{code // N_COLUMNS}#field{code % N_COLUMNS}"
+
+
+def _transaction(now: float, code: int, value: int, tx_id: int) -> Transaction:
+    """The ``Transaction`` for one row of YCSB columns: key code and
+    update value (or ``READ``)."""
+    key, column = divmod(code, N_COLUMNS)
+    keys = (_storage_key(code),)
+    params: Dict[str, Any] = {"key": key, "column": column}
+    if value == READ:
+        return Transaction(
+            "ycsb_read", keys, (), params, READ_PAYLOAD, created_at=now, tx_id=tx_id
+        )
+    params["value"] = f"upd:{value}".ljust(COLUMN_BYTES, "y")
+    return Transaction(
+        "ycsb_update", (), keys, params, UPDATE_PAYLOAD, created_at=now, tx_id=tx_id
+    )
+
+
+class YcsbBatch(TxBatch):
+    """A YCSB batch as parallel columns: ``due``, key ``codes``, update
+    ``values`` (``READ`` marks a read) and a reserved contiguous tx-id
+    range starting at ``first_id``. Conflict detection runs on the
+    integer codes; ``Transaction`` objects exist only once asked for.
+    The two integer columns are packed arrays: they stay with the entry
+    for the whole run."""
+
+    __slots__ = ("codes", "values", "first_id")
+
+    def __init__(
+        self, due: List[float], codes: List[int], values: List[int], first_id: int
+    ) -> None:
+        self.due = due
+        self.tenants = None
+        self.plan = None
+        self._txns = None
+        self.codes = array("q", codes)
+        self.values = array("q", values)
+        self.first_id = first_id
+
+    def _build(self) -> Iterator[Transaction]:
+        return map(
+            _transaction, self.due, self.codes, self.values, self.tx_ids()
+        )
+
+    @property
+    def size_bytes(self) -> int:
+        reads = self.values.count(READ)
+        updates = len(self.values) - reads
+        return (
+            len(self.values) * TX_ENVELOPE_SIZE
+            + reads * READ_PAYLOAD
+            + updates * UPDATE_PAYLOAD
+        )
+
+    def tx_ids(self) -> range:
+        return range(self.first_id, self.first_id + len(self.due))
+
+    def key_sets(self):
+        rows = list(zip(self.codes, self.values))
+        return (
+            [(code,) if value == READ else () for code, value in rows],
+            [() if value == READ else (code,) for code, value in rows],
+        )
+
+    key_name = staticmethod(_storage_key)
 
 
 class YcsbWorkload(Workload):
@@ -70,7 +152,6 @@ class YcsbWorkload(Workload):
         self.hotspot = hotspot
         self.name = "ycsb-a" if read_fraction <= 0.5 else "ycsb-b"
         self._zipf: Dict[int, ZipfGenerator] = {}
-        self._fast: Dict[int, tuple] = {}
 
     def _sampler(self, rng: random.Random) -> ZipfGenerator:
         key = id(rng)
@@ -80,136 +161,63 @@ class YcsbWorkload(Workload):
             self._zipf[key] = sampler
         return sampler
 
-    def _fast_methods(self, rng: random.Random) -> tuple:
-        """Per-stream bound methods for :meth:`generate`'s hot loop.
+    def batch_generator_for(self, rng: random.Random):
+        """``gen(due_times) -> YcsbBatch`` with the whole draw pipeline
+        pre-bound: one call per batch, no object per transaction.
 
-        ``Random.randrange(n)`` validates its arguments and then defers to
-        ``Random._randbelow(n)``; calling ``_randbelow`` directly consumes
-        the exact same ``getrandbits`` draws (identical value stream) at
-        about half the cost. Falls back to ``randrange`` if a custom
-        ``rng`` lacks the internal method.
-        """
-        key = id(rng)
-        fast = self._fast.get(key)
-        if fast is None:
-            sampler = self._sampler(rng)
-            randbelow = getattr(rng, "_randbelow", rng.randrange)
-            fast = (sampler.sample_scrambled, rng.random, randbelow)
-            self._fast[key] = fast
-        return fast
-
-    def generator_for(self, rng: random.Random):
-        """Closure with the whole YCSB draw pipeline pre-bound.
-
-        Inlines the scrambled-zipfian sampler (same float expressions in
-        the same order as :meth:`ZipfGenerator.sample` /
-        :meth:`~ZipfGenerator.sample_scrambled`) and the ``_randbelow``
-        shortcut from :meth:`_fast_methods`, so one offered transaction
-        costs one closure call. Draw order — zipf u, column, read/update
-        coin, update value — matches :meth:`generate` exactly.
+        The RNG contract: per transaction, in order — zipf ``u``, column,
+        read/update coin, update value — the exact word stream
+        :meth:`generate` consumes. The scrambled-zipfian sampler is
+        inlined (same float expressions in the same order as
+        :meth:`ZipfGenerator.sample` / ``sample_scrambled``), and so is
+        ``Random.randrange(n)``: ``getrandbits(n.bit_length())`` redrawn
+        while ``>= n``. Hot-keyset drift is a time-pure offset added
+        after the scramble, so it changes which rows are hot and never
+        the stream.
         """
         sampler = self._sampler(rng)
         random_draw = rng.random
-        randbelow = getattr(rng, "_randbelow", rng.randrange)
+        getrandbits = rng.getrandbits
         n_rows = self.n_rows
         zetan = sampler.zetan
         eta = sampler.eta
         alpha = sampler.alpha
         rank1_bound = 1.0 + 0.5 ** sampler.theta
         read_fraction = self.read_fraction
-        hotspot = self.hotspot
-        if hotspot is not None:
-            return self._drifting_generator(rng, hotspot)
+        offset_at = self.hotspot.offset_at if self.hotspot is not None else None
+        column_bits = N_COLUMNS.bit_length()
+        value_bits = VALUE_RANGE.bit_length()
 
-        def gen(now: float) -> Transaction:
-            u = random_draw()
-            uz = u * zetan
-            if uz < 1.0:
-                rank = 0
-            elif uz < rank1_bound:
-                rank = 1
-            else:
-                rank = int(n_rows * (eta * u - eta + 1.0) ** alpha)
-            key = (rank * 0x9E3779B97F4A7C15 + 0x7F4A7C15) % n_rows
-            column = randbelow(N_COLUMNS)
-            storage_key = f"{TABLE}/{key}#field{column}"
-            if random_draw() < read_fraction:
-                return Transaction(
-                    kind="ycsb_read",
-                    read_keys=(storage_key,),
-                    write_keys=(),
-                    params={"key": key, "column": column},
-                    payload_bytes=READ_PAYLOAD,
-                    created_at=now,
-                )
-            return Transaction(
-                kind="ycsb_update",
-                read_keys=(),
-                write_keys=(storage_key,),
-                params={
-                    "key": key,
-                    "column": column,
-                    "value": f"upd:{randbelow(1 << 30)}".ljust(COLUMN_BYTES, "y"),
-                },
-                payload_bytes=UPDATE_PAYLOAD,
-                created_at=now,
-            )
-
-        return gen
-
-    def _drifting_generator(self, rng: random.Random, hotspot):
-        """The :meth:`generator_for` closure with hot-keyset drift.
-
-        A separate closure so the undrifted hot path above stays
-        untouched (and bit-identical). Draw order is unchanged — the
-        drift offset is a pure function of simulated time applied after
-        the scramble — so switching drift on/off changes *which* rows
-        are hot, never the rng stream.
-        """
-        sampler = self._sampler(rng)
-        random_draw = rng.random
-        randbelow = getattr(rng, "_randbelow", rng.randrange)
-        n_rows = self.n_rows
-        zetan = sampler.zetan
-        eta = sampler.eta
-        alpha = sampler.alpha
-        rank1_bound = 1.0 + 0.5 ** sampler.theta
-        read_fraction = self.read_fraction
-        offset_at = hotspot.offset_at
-
-        def gen(now: float) -> Transaction:
-            u = random_draw()
-            uz = u * zetan
-            if uz < 1.0:
-                rank = 0
-            elif uz < rank1_bound:
-                rank = 1
-            else:
-                rank = int(n_rows * (eta * u - eta + 1.0) ** alpha)
-            key = (rank * 0x9E3779B97F4A7C15 + 0x7F4A7C15 + offset_at(now)) % n_rows
-            column = randbelow(N_COLUMNS)
-            storage_key = f"{TABLE}/{key}#field{column}"
-            if random_draw() < read_fraction:
-                return Transaction(
-                    kind="ycsb_read",
-                    read_keys=(storage_key,),
-                    write_keys=(),
-                    params={"key": key, "column": column},
-                    payload_bytes=READ_PAYLOAD,
-                    created_at=now,
-                )
-            return Transaction(
-                kind="ycsb_update",
-                read_keys=(),
-                write_keys=(storage_key,),
-                params={
-                    "key": key,
-                    "column": column,
-                    "value": f"upd:{randbelow(1 << 30)}".ljust(COLUMN_BYTES, "y"),
-                },
-                payload_bytes=UPDATE_PAYLOAD,
-                created_at=now,
-            )
+        def gen(due: List[float]) -> YcsbBatch:
+            codes: List[int] = []
+            values: List[int] = []
+            add_code = codes.append
+            add_value = values.append
+            offset = 0
+            for now in due:
+                u = random_draw()
+                uz = u * zetan
+                if uz < 1.0:
+                    rank = 0
+                elif uz < rank1_bound:
+                    rank = 1
+                else:
+                    rank = int(n_rows * (eta * u - eta + 1.0) ** alpha)
+                if offset_at is not None:
+                    offset = offset_at(now)
+                key = (rank * 0x9E3779B97F4A7C15 + 0x7F4A7C15 + offset) % n_rows
+                column = getrandbits(column_bits)
+                while column >= N_COLUMNS:
+                    column = getrandbits(column_bits)
+                add_code(key * N_COLUMNS + column)
+                if random_draw() < read_fraction:
+                    add_value(READ)
+                else:
+                    value = getrandbits(value_bits)
+                    while value >= VALUE_RANGE:
+                        value = getrandbits(value_bits)
+                    add_value(value)
+            return YcsbBatch(due, codes, values, reserve_tx_ids(len(due)))
 
         return gen
 
@@ -231,37 +239,17 @@ class YcsbWorkload(Workload):
         return table_key(TABLE, f"{key}#field{column}")
 
     def generate(self, rng: random.Random, now: float = 0.0) -> Transaction:
-        # Saturating-load hot path: the composite key is built inline
-        # (identical string to ``column_key``) and the RNG draw order —
-        # zipf sample, column, read/update coin, update value — is fixed;
-        # reordering any of it would change seeded runs.
-        sample_scrambled, random_draw, randbelow = self._fast_methods(rng)
-        key = sample_scrambled(self.n_rows)
+        # The per-transaction reference for ``batch_generator_for``: the
+        # RNG draw order — zipf sample, column, read/update coin, update
+        # value — is fixed; reordering any of it would change seeded runs.
+        key = self._sampler(rng).sample_scrambled(self.n_rows)
         if self.hotspot is not None:
             key = (key + self.hotspot.offset_at(now)) % self.n_rows
-        column = randbelow(N_COLUMNS)
-        storage_key = f"{TABLE}/{key}#field{column}"
-        if random_draw() < self.read_fraction:
-            return Transaction(
-                kind="ycsb_read",
-                read_keys=(storage_key,),
-                write_keys=(),
-                params={"key": key, "column": column},
-                payload_bytes=READ_PAYLOAD,
-                created_at=now,
-            )
-        return Transaction(
-            kind="ycsb_update",
-            read_keys=(),
-            write_keys=(storage_key,),
-            params={
-                "key": key,
-                "column": column,
-                "value": f"upd:{randbelow(1 << 30)}".ljust(COLUMN_BYTES, "y"),
-            },
-            payload_bytes=UPDATE_PAYLOAD,
-            created_at=now,
-        )
+        column = rng.randrange(N_COLUMNS)
+        value = READ
+        if rng.random() >= self.read_fraction:
+            value = rng.randrange(VALUE_RANGE)
+        return _transaction(now, key * N_COLUMNS + column, value, reserve_tx_ids(1))
 
     def logic(self) -> Dict[str, TxLogic]:
         def read(store: KVStore, tx: Transaction) -> Dict[str, Any]:

@@ -204,19 +204,25 @@ class TestExecutionPipeline:
         pipe = ExecutionPipeline()
         hot = [tx(reads=("hot",), writes=("hot",)) for _ in range(4)]
         result = pipe.execute_entry(hot)
-        assert len(result.committed) == 1
-        committed = len(result.committed)
+        assert len(result.commit_times) == 1 and result.aborted == 3
+        committed = len(result.commit_times)
         for _ in range(5):
-            committed += len(pipe.execute_entry([]).committed)
+            committed += len(pipe.execute_entry([]).commit_times)
         assert committed == 4
         assert not pipe.carryover
 
-    def test_retry_counter_increments(self):
+    def test_retry_is_pipeline_state_and_marks_the_retried_write(self):
         pipe = ExecutionPipeline()
         t1 = tx(reads=("h",), writes=("h",))
         t2 = tx(reads=("h",), writes=("h",))
         pipe.execute_entry([t1, t2])
-        assert t2.retries == 1
+        # The abort is recorded in the pipeline, not on the (shared) object.
+        assert pipe.carryover == [t2]
+        assert pipe.store.get("h") == ("v", t1.tx_id, 0)
+        pipe.execute_entry([])
+        # A carried transaction has aborted exactly once.
+        assert pipe.store.get("h") == ("v", t2.tx_id, 1)
+        assert not pipe.carryover
 
     def test_abort_rate(self):
         pipe = ExecutionPipeline()
