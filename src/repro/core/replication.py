@@ -398,9 +398,10 @@ class EncodedBijectiveTransport(_TransportBase):
         self.stale_send_backlog = 0.35
         self._plans: Dict[Tuple[int, int], TransferPlan] = {}
         self._codecs: Dict[Tuple[int, int], ReedSolomonCodec] = {}
-        #: Receiver-side state per (node addr, entry_id), from the first
-        #: chunk a node hears of until the entry is delivered to it.
-        self._inboxes: Dict[Tuple[NodeAddress, EntryId], _Inbox] = {}
+        #: Receiver-side state, ``{entry_id: {node addr: inbox}}``: an
+        #: inbox lives from the first chunk its node hears of until the
+        #: entry is delivered to it, a row until its last inbox goes.
+        self._inboxes: Dict[EntryId, Dict[NodeAddress, _Inbox]] = {}
         #: Every node ever attached: local exchange files into peers'
         #: inboxes instead of sending them messages.
         self._nodes: Dict[NodeAddress, "SimNode"] = {}
@@ -436,7 +437,9 @@ class EncodedBijectiveTransport(_TransportBase):
         for dst_gid in self.other_groups(src_gid):
             plan = self.plan_for(src_gid, dst_gid)
             chunk_size = max(1, -(-entry.size_bytes // plan.n_data))
-            encodings = self._encodings_for(entry, plan)
+            # Shared by this (entry, plan)'s senders; the first one that
+            # really is Byzantine adds the tampered encoding.
+            encodings = {True: self._encode(entry, plan.n_data, plan.n_total, True)}
             for sender in self.members[src_gid]:
                 if sender.crashed:
                     continue
@@ -447,26 +450,15 @@ class EncodedBijectiveTransport(_TransportBase):
                     ),
                 )
 
-    def _encodings_for(self, entry: LogEntry, plan: TransferPlan) -> Dict[bool, Tuple]:
-        """(chunks, tree) per genuineness, computed once per (entry, plan).
-
-        In real mode both the genuine and (if any Byzantine member exists)
-        tampered encodings are materialised; in simulated mode only roots.
-        """
-        out: Dict[bool, Tuple] = {}
-        if self.coding == "real":
-            codec = self.codec_for_counts(plan.n_data, plan.n_total)
-            genuine_chunks = codec.encode(entry.payload)
-            out[True] = (genuine_chunks, MerkleTree(genuine_chunks))
-            tampered_payload = b"tampered:" + entry.payload
-            tampered_chunks = codec.encode(tampered_payload)
-            out[False] = (tampered_chunks, MerkleTree(tampered_chunks))
-        else:
-            genuine_root = digest(b"root:" + entry.digest)
-            tampered_root = digest(b"tampered-root:" + entry.digest)
-            out[True] = (None, genuine_root)
-            out[False] = (None, tampered_root)
-        return out
+    def _encode(self, entry: LogEntry, n_data: int, n_total: int, genuine: bool) -> Tuple:
+        """``(chunks, Merkle tree)`` of the entry's payload — or of a
+        tampered copy — in real mode; ``(None, root)`` in simulated mode."""
+        if self.coding != "real":
+            tag = b"root:" if genuine else b"tampered-root:"
+            return None, digest(tag + entry.digest)
+        payload = entry.payload if genuine else b"tampered:" + entry.payload
+        chunks = self.codec_for_counts(n_data, n_total).encode(payload)
+        return chunks, MerkleTree(chunks)
 
     def _make_send_share(
         self,
@@ -493,6 +485,12 @@ class EncodedBijectiveTransport(_TransportBase):
                 self._count("chunks_skipped_departed")
                 return
             sender_index = src_members.index(sender)
+            encoding = encodings.get(genuine)
+            if encoding is None:
+                encoding = encodings[genuine] = self._encode(
+                    entry, plan.n_data, plan.n_total, genuine
+                )
+            chunks, tree = encoding
             cert_sent: Set[object] = set()
             receivers = self.members[dst_gid]
             for assignment in plan.chunks_sent_by(sender_index):
@@ -500,14 +498,13 @@ class EncodedBijectiveTransport(_TransportBase):
                     self._count("chunks_skipped_departed")
                     continue
                 receiver = receivers[assignment.receiver]
-                if self.coding == "real":
-                    chunks, tree = encodings[genuine]
+                if chunks is not None:
                     data = chunks[assignment.chunk]
                     proof = tree.proof(assignment.chunk)
                     root = tree.root
                     size = len(data)
                 else:
-                    _, root = encodings[genuine]
+                    root = tree
                     data = b""
                     proof = None
                     size = chunk_size
@@ -543,9 +540,10 @@ class EncodedBijectiveTransport(_TransportBase):
             self._share_locally(node, self._tampered_version(chunk))
             return
         self._share_locally(node, chunk)
-        inbox = self._inboxes.get(key)
+        row = self._inboxes.setdefault(chunk.entry_id, {})
+        inbox = row.get(node.addr)
         if inbox is None:
-            inbox = self._inboxes[key] = _Inbox(self._new_rebuild(chunk))
+            inbox = row[node.addr] = _Inbox(self._new_rebuild(chunk))
         # Peers' shares that landed before this chunk go in first.
         self._drain(node, inbox)
         if not inbox.done:
@@ -553,16 +551,14 @@ class EncodedBijectiveTransport(_TransportBase):
         self._arm(node, inbox)
 
     def _tampered_version(self, chunk: ChunkMessage) -> ChunkMessage:
-        entry = self.get_entry(chunk.entry_id)
-        if self.coding != "real":
-            fake_root = digest(b"tampered-root:" + entry.digest)
+        chunks, tree = self._encode(
+            self.get_entry(chunk.entry_id), chunk.n_data, chunk.n_total, False
+        )
+        if chunks is None:
             return replace(
-                chunk, root=fake_root, data=b"", proof=None, cert_size=0, genuine=False
+                chunk, root=tree, data=b"", proof=None, cert_size=0, genuine=False
             )
-        codec = self.codec_for_counts(chunk.n_data, chunk.n_total)
-        tampered_chunks = codec.encode(b"tampered:" + entry.payload)
-        tree = MerkleTree(tampered_chunks)
-        data = tampered_chunks[chunk.chunk_id]
+        data = chunks[chunk.chunk_id]
         return replace(
             chunk,
             root=tree.root,
@@ -587,29 +583,29 @@ class EncodedBijectiveTransport(_TransportBase):
         sender = node.addr
         entry_id = chunk.entry_id
         nodes = self._nodes
-        inboxes = self._inboxes
+        row = self._inboxes.setdefault(entry_id, {})
         for addr, at in zip(receivers, arrivals):
             if at is None:
                 continue  # lost on the wire
             slot += 1
-            peer = nodes.get(addr)
-            if peer is None:
-                continue  # on the LAN but not (yet) a transport member
-            key = (addr, entry_id)
-            inbox = inboxes.get(key)
+            inbox = row.get(addr)
             if inbox is None:
-                if key in self._delivered:
+                # On the LAN but not (yet) a transport member, or it
+                # already holds the entry.
+                if addr not in nodes or (addr, entry_id) in self._delivered:
                     continue
-                inbox = inboxes[key] = _Inbox(self._new_rebuild(chunk))
+                inbox = row[addr] = _Inbox(self._new_rebuild(chunk))
             elif inbox.done:
                 continue
             inbox.pending.append((at, slot, sender, chunk))
             wake = inbox.wake
             if wake is None:
                 if len(inbox.pending) >= inbox.need:
-                    self._arm(peer, inbox)
+                    self._arm(nodes[addr], inbox)
             elif (at, slot) < (wake.time, wake.seq):
-                self._arm(peer, inbox)
+                self._arm(nodes[addr], inbox)
+        if not row:
+            del self._inboxes[entry_id]
 
     def _new_rebuild(self, chunk: ChunkMessage):
         if self.coding != "real":
@@ -708,9 +704,13 @@ class EncodedBijectiveTransport(_TransportBase):
 
     def _deliver_once(self, node: "SimNode", entry_id: EntryId) -> None:
         # The inbox dies with the rebuild, whichever path delivered first.
-        inbox = self._inboxes.pop((node.addr, entry_id), None)
-        if inbox is not None:
-            inbox.close()
+        row = self._inboxes.get(entry_id)
+        if row is not None:
+            inbox = row.pop(node.addr, None)
+            if inbox is not None:
+                inbox.close()
+            if not row:
+                del self._inboxes[entry_id]
         super()._deliver_once(node, entry_id)
 
 

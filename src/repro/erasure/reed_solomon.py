@@ -7,24 +7,31 @@ top block is the identity — so the first ``n_data`` output chunks *are*
 the data chunks (systematic) — and any ``n_data`` rows remain invertible,
 so any ``n_data`` chunks reconstruct the message.
 
-The row arithmetic runs whole matrices at a time through C-level
-``bytes.translate`` lookups and big-int XOR accumulation — measured
-faster than the alternate numpy gather kernel at every tested shape (see
-:meth:`ReedSolomonCodec._apply_matrix`) and dependency-free. Inverted
-decode submatrices are memoized per survivor set.
+The row arithmetic multiplies each row with one C-level
+``bytes.translate`` lookup and XORs the products together — through
+numpy when it is importable, as arbitrary-precision ints otherwise (see
+:meth:`ReedSolomonCodec._combine_rows`). Inverted decode submatrices are
+memoized per survivor set.
 """
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 from typing import Dict, List, Sequence, Tuple
 
 from repro.erasure.galois import GF256
 from repro.erasure.matrix import Matrix
 
-try:  # pragma: no cover - exercised implicitly by the environment
-    import numpy as _np
-except ImportError:  # pragma: no cover
+# The XOR accumulation rides numpy when present; REPRO_NO_NUMPY=1 forces
+# the int-XOR fallback, as it forces the scalar NIC path in
+# :mod:`repro.sim.network`.
+try:
+    if os.environ.get("REPRO_NO_NUMPY"):
+        _np = None
+    else:
+        import numpy as _np
+except ImportError:  # pragma: no cover - numpy is baked into the image
     _np = None
 
 #: Inverted decode submatrices kept per codec, keyed by the tuple of
@@ -33,22 +40,6 @@ except ImportError:  # pragma: no cover
 #: suffices; LRU eviction keeps adversarial chunk-loss patterns from
 #: growing the cache without bound.
 _DECODE_CACHE_LIMIT = 128
-
-_GF_MUL_2D = None  # lazily-built 256x256 numpy GF(2^8) product table
-
-
-def _gf_mul_2d():
-    """The full GF(2^8) multiplication table as a (256, 256) uint8 array.
-
-    ``_GF_MUL_2D[a, b] == GF256.mul(a, b)``; one 64 KiB table shared by
-    every codec. Built from the per-coefficient ``bytes`` translation
-    tables so the two code paths can never disagree.
-    """
-    global _GF_MUL_2D
-    if _GF_MUL_2D is None:
-        flat = b"".join(GF256.mul_table(c) for c in range(256))
-        _GF_MUL_2D = _np.frombuffer(flat, dtype=_np.uint8).reshape(256, 256)
-    return _GF_MUL_2D
 
 
 class ReedSolomonCodec:
@@ -80,7 +71,7 @@ class ReedSolomonCodec:
         self._decode_cache: "OrderedDict[Tuple[int, ...], Matrix]" = OrderedDict()
 
     # ------------------------------------------------------------------
-    # Row arithmetic (numpy fast path with pure-Python fallback)
+    # Row arithmetic
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -89,17 +80,27 @@ class ReedSolomonCodec:
     ) -> bytes:
         """Compute XOR_i mul(coefficients[i], rows[i]) over ``length`` bytes.
 
-        Each row is multiplied with one C-level ``bytes.translate`` and
-        accumulated by XOR-ing arbitrary-precision ints, so no per-byte
-        Python loop remains.
+        Each row is multiplied with one C-level ``bytes.translate``, so no
+        per-byte Python loop remains. The products are XOR-ed as one
+        ``uint8`` matrix reduced along its row axis; without numpy they
+        accumulate as arbitrary-precision ints, which costs a
+        ``from_bytes`` per row and a ``to_bytes`` per result (about twice
+        the time at entry-sized rows). XOR is exact, so both produce
+        identical bytes.
         """
+        terms = [
+            row if coeff == 1 else row.translate(GF256.mul_table(coeff))
+            for coeff, row in zip(coefficients, rows)
+            if coeff
+        ]
+        if _np is not None and terms:
+            stacked = _np.frombuffer(b"".join(terms), dtype=_np.uint8)
+            return _np.bitwise_xor.reduce(
+                stacked.reshape(len(terms), length), axis=0
+            ).tobytes()
         acc = 0
-        for coeff, row in zip(coefficients, rows):
-            if coeff == 0:
-                continue
-            if coeff != 1:
-                row = row.translate(GF256.mul_table(coeff))
-            acc ^= int.from_bytes(row, "big")
+        for term in terms:
+            acc ^= int.from_bytes(term, "big")
         return acc.to_bytes(length, "big")
 
     @classmethod
@@ -108,34 +109,8 @@ class ReedSolomonCodec:
         coefficient_rows: Sequence[Sequence[int]],
         rows: Sequence[bytes],
         length: int,
-        use_numpy: bool = False,
     ) -> List[bytes]:
-        """All output rows of ``C x rows`` in one shot.
-
-        The default kernel runs one ``bytes.translate`` per non-trivial
-        coefficient and XOR-accumulates rows as arbitrary-precision ints.
-        The alternate numpy kernel (``use_numpy=True``) does one 2D
-        gather through the shared 256x256 GF product table —
-        ``T[C[:, :, None], D[None, :, :]]`` — and XOR-reduces over the
-        input-row axis. Measured across matrix shapes from 7x7 to 42x42
-        and rows from 4 KiB to 64 KiB, the translate kernel is ~2x
-        faster (CPython's translate loop beats numpy fancy indexing for
-        byte-wise table gathers), so it is the production path on every
-        build; the gather kernel is kept for the ``repro perf``
-        comparison and the bit-identity test. XOR is exact, so both
-        kernels produce identical bytes from the same tables.
-        """
-        if not coefficient_rows:
-            return []
-        if use_numpy and _np is not None:
-            table = _gf_mul_2d()
-            coeffs = _np.array(coefficient_rows, dtype=_np.uint8)
-            stacked = _np.frombuffer(b"".join(rows), dtype=_np.uint8).reshape(
-                len(rows), length
-            )
-            products = table[coeffs[:, :, None], stacked[None, :, :]]
-            combined = _np.bitwise_xor.reduce(products, axis=1)
-            return [combined[r].tobytes() for r in range(combined.shape[0])]
+        """All output rows of ``C x rows``."""
         return [
             cls._combine_rows(coefficients, rows, length)
             for coefficients in coefficient_rows
@@ -203,10 +178,15 @@ class ReedSolomonCodec:
                 cache.popitem(last=False)
         else:
             cache.move_to_end(key)
+        # Only the lost data chunks need arithmetic: a surviving one is
+        # among ``rows`` (its decode row is a unit vector).
         rows = [available[i] for i in use_indices]
-        return self._apply_matrix(
-            [decode_matrix[r] for r in range(self.n_data)], rows, length
-        )
+        lost = [decode_matrix[r] for r in range(self.n_data) if r not in available]
+        recovered = iter(self._apply_matrix(lost, rows, length))
+        return [
+            bytes(available[r]) if r in available else next(recovered)
+            for r in range(self.n_data)
+        ]
 
     # ------------------------------------------------------------------
     # Message API

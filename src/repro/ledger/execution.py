@@ -32,16 +32,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ledger.state import KVStore
-from repro.ledger.transactions import Transaction, TxBatch
+from repro.ledger.transactions import FRESH, RETRIED, Transaction, TxBatch
 
 #: Full-execution logic: fn(store, txn) -> write map {key: value}.
 #: Registered per transaction ``kind`` by the owning workload.
 TxLogic = Callable[[KVStore, Transaction], Dict[str, Any]]
-
-#: Retry count in the version marker a modeled write installs: a fresh
-#: transaction has aborted zero times, and one in the sequential lane
-#: exactly once (the lane commits unconditionally).
-FRESH, RETRIED = 0, 1
 
 
 def aria_aborts(read_sets: Sequence[Sequence], write_sets: Sequence) -> List[int]:
@@ -208,24 +203,6 @@ class AriaExecutor:
     def register_logic(self, kind: str, fn: TxLogic) -> None:
         self.logic[kind] = fn
 
-    def execute_sequential(self, batch: Sequence[Transaction]) -> List[Transaction]:
-        """Aria's fallback lane: execute transactions one at a time, in
-        order, each seeing its predecessors' writes. Every transaction
-        commits (sequential execution has no conflicts), and the order is
-        deterministic, so replicas stay identical. Used for transactions
-        that already aborted once — bounding retry storms on hotspots."""
-        committed: List[Transaction] = []
-        for tx in batch:
-            fn = self.logic.get(tx.kind)
-            if fn is not None:
-                writes = fn(self.store, tx)
-            else:
-                writes = dict.fromkeys(tx.write_keys, ("v", tx.tx_id, RETRIED))
-            self.store.apply_writes(writes)
-            committed.append(tx)
-        self.total_committed += len(committed)
-        return committed
-
     def execute_batch(self, batch: Sequence[Transaction]) -> BatchResult:
         """Run one Aria batch; applies surviving writes to the store."""
         if not isinstance(batch, TxBatch):
@@ -248,13 +225,20 @@ class AriaExecutor:
         return plan
 
     def run_carried(self, batch: TxBatch, plan: ConflictPlan) -> None:
-        """Commit, through the sequential lane, what ``plan`` aborted."""
+        """Commit, through Aria's sequential fallback lane, what ``plan``
+        aborted: in order, every one unconditionally (sequential
+        execution has no conflicts), so replicas stay identical and a
+        hotspot cannot build a retry storm. With logic the lane runs it
+        again, one transaction at a time, each seeing its predecessors'
+        writes."""
+        store = self.store
         if plan.carry_writes is None:
-            txns = batch.transactions
-            self.execute_sequential([txns[index] for index in plan.aborted])
+            for index in plan.aborted:
+                _, (writes,) = batch.execute(store, self.logic, (index,), RETRIED)
+                store.apply_writes(writes)
         else:
-            self.store.apply_writes(plan.carry_writes)
-            self.total_committed += len(plan.aborted)
+            store.apply_writes(plan.carry_writes)
+        self.total_committed += len(plan.aborted)
 
     def _run_logic(self, batch: TxBatch) -> ConflictPlan:
         """Execute phase with logic: every transaction reads the
@@ -263,20 +247,8 @@ class AriaExecutor:
         The outcome depends on this replica's store, so it is never
         cached on the batch, and it has no ``carry_writes``: the
         sequential lane has to run the logic again."""
-        txns = batch.transactions
-        logic = self.logic
-        store = self.store
-        buffered: List[Dict[str, Any]] = []
-        buffer_writes = buffered.append
-        for tx in txns:
-            fn = logic.get(tx.kind)
-            if fn is not None:
-                buffer_writes(fn(store, tx))
-            else:
-                buffer_writes(
-                    dict.fromkeys(tx.write_keys, ("v", tx.tx_id, FRESH))
-                )
-        aborted = aria_aborts([tx.read_keys for tx in txns], buffered)
+        read_sets, buffered = batch.execute(self.store, self.logic)
+        aborted = aria_aborts(read_sets, buffered)
         gone = set(aborted)
         final_writes: Dict[str, Any] = {}
         for index, writes in enumerate(buffered):

@@ -11,13 +11,29 @@ sizes (YCSB-A 201 B, YCSB-B 150 B, SmallBank 108 B, TPC-C 232 B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.crypto.signatures import SIGNATURE_SIZE
 
 #: Envelope every client transaction carries: id, timestamps, client
 #: signature (verified during local PBFT — the paper's dominant CPU cost).
 TX_ENVELOPE_SIZE = 16 + SIGNATURE_SIZE
+
+#: Retry count in the version marker a modeled write installs: a fresh
+#: transaction has aborted zero times, and one in the sequential lane
+#: exactly once (the lane commits unconditionally).
+FRESH, RETRIED = 0, 1
 
 _next_tx_id = 1
 
@@ -109,11 +125,13 @@ class TxBatch:
 
     Consumers read a batch through its columns — ``due`` (client
     submission times), ``tenants``, :meth:`tx_ids`, :meth:`key_sets`,
-    ``size_bytes`` — and only ask for :attr:`transactions` when they need
-    the objects (full execution, payload serialisation, admission queues,
-    tests). This class wraps transactions that already exist. A workload
-    that generates the columns directly subclasses it, leaves ``_txns``
-    as ``None`` and implements :meth:`_build`, so its ``Transaction``
+    ``size_bytes`` — and its two whole-batch operations,
+    :meth:`serialize` and :meth:`execute`; they only ask for
+    :attr:`transactions` when they need the objects (admission queues,
+    tests). This class wraps transactions that already exist and is the
+    per-transaction reference for both operations. A workload that
+    generates the columns directly subclasses it, leaves ``_txns`` as
+    ``None`` and implements :meth:`_build`, so its ``Transaction``
     objects come into being on first use or never.
 
     ``plan`` caches the batch's modeled-mode conflict plan
@@ -168,6 +186,38 @@ class TxBatch:
         conflict rules; keys are whatever :attr:`key_name` accepts."""
         txns = self._txns
         return [tx.read_keys for tx in txns], [tx.write_keys for tx in txns]
+
+    def serialize(self) -> bytes:
+        """The entry payload these transactions travel as."""
+        return serialize_batch(self.transactions)
+
+    def execute(
+        self,
+        store: Any,
+        logic: Mapping[str, Callable[..., Dict[str, Any]]],
+        only: Optional[Sequence[int]] = None,
+        retries: int = FRESH,
+    ) -> Tuple[List[Sequence[str]], List[Dict[str, Any]]]:
+        """Aria's execute phase: run every transaction (just those at
+        batch indices ``only``, if given) against ``store`` as it stands
+        and return parallel ``(read sets, buffered write maps)``, both
+        in storage keys. A kind without logic buffers
+        ``("v", tx_id, retries)`` markers for its declared write set.
+        """
+        txns = self.transactions
+        if only is not None:
+            txns = [txns[index] for index in only]
+        buffered: List[Dict[str, Any]] = []
+        buffer_writes = buffered.append
+        for tx in txns:
+            fn = logic.get(tx.kind)
+            if fn is not None:
+                buffer_writes(fn(store, tx))
+            else:
+                buffer_writes(
+                    dict.fromkeys(tx.write_keys, ("v", tx.tx_id, retries))
+                )
+        return [tx.read_keys for tx in txns], buffered
 
 
 def serialize_batch(transactions: Tuple[Transaction, ...]) -> bytes:

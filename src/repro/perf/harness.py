@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
-from repro.perf.kernels import build_gather_kernels, build_kernels
+from repro.perf.kernels import build_kernels
 
 SCHEMA = "repro-perf/1"
 
@@ -297,7 +297,6 @@ def run_perf(
         if log:
             log("kernels:")
         kernels = _run_kernels(build_kernels(), config, log)
-        kernels.update(_run_kernels(build_gather_kernels(), config, log))
         report: Dict[str, object] = {
             "schema": SCHEMA,
             "quick": config.quick,

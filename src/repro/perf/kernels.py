@@ -7,12 +7,9 @@ while timing whole calls. Inputs are fixed and deterministic: two runs on
 the same machine do the same work, so differences are timing noise, not
 workload drift.
 
-The erasure kernels exist in two flavours when numpy is importable: the
-default ``bytes.translate`` / int-XOR production kernel and a
-``.gather`` variant that forces the alternate numpy 2D-gather kernel —
-the measured comparison that justifies which one ships as the default.
-Without numpy the ``.gather`` duplicates are skipped; everything else is
-dependency-free.
+The erasure kernels time whichever XOR accumulation the codec uses on
+this install: numpy when importable, ints otherwise (the report's
+``numpy`` field says which).
 """
 
 from __future__ import annotations
@@ -43,10 +40,9 @@ class Kernel:
 def force_no_numpy() -> Iterator[None]:
     """Make the codec behave as on a numpy-less install.
 
-    Swaps the module-level numpy handle out for the duration. The
-    production kernel is already dependency-free, so this only disables
-    the alternate gather kernel — tests use it to assert the harness and
-    codec work identically without numpy.
+    Swaps the module-level numpy handle out for the duration, which
+    puts the codec on its int-XOR fallback — tests use it to assert the
+    harness and codec work identically without numpy.
     """
     saved = reed_solomon._np
     reed_solomon._np = None
@@ -82,7 +78,7 @@ def _calibration_kernel() -> Kernel:
     return Kernel("calibration.spin", op, units_per_op=10_000, unit="iters")
 
 
-def _erasure_kernels(gather: bool) -> List[Kernel]:
+def _erasure_kernels() -> List[Kernel]:
     codec = ReedSolomonCodec(n_data=7, n_parity=7)
     chunk = 4096
     data = [_pattern_bytes(chunk, salt) for salt in range(7)]
@@ -90,14 +86,6 @@ def _erasure_kernels(gather: bool) -> List[Kernel]:
     # Parity-heavy survivor set: drops data chunks 0-2, forcing the
     # matrix-inversion decode path (and exercising the decode cache).
     available = {i: encoded[i] for i in range(3, 10)}
-    suffix = ".gather" if gather else ""
-    if gather:
-        apply_matrix = codec._apply_matrix
-
-        def apply_gather(coeffs, rows, length):
-            return apply_matrix(coeffs, rows, length, use_numpy=True)
-
-        codec._apply_matrix = apply_gather  # type: ignore[method-assign]
 
     def encode_op() -> object:
         return codec.encode_chunks(data)
@@ -106,8 +94,8 @@ def _erasure_kernels(gather: bool) -> List[Kernel]:
         return codec.decode_chunks(available)
 
     return [
-        Kernel(f"erasure.encode{suffix}", encode_op, units_per_op=1),
-        Kernel(f"erasure.decode{suffix}", decode_op, units_per_op=1),
+        Kernel("erasure.encode", encode_op, units_per_op=1),
+        Kernel("erasure.decode", decode_op, units_per_op=1),
     ]
 
 
@@ -191,21 +179,12 @@ def _workload_kernel() -> Kernel:
 
 
 def build_kernels() -> List[Kernel]:
-    """All production-path kernels (dependency-free)."""
+    """All production-path kernels."""
     kernels = [_calibration_kernel()]
-    kernels.extend(_erasure_kernels(gather=False))
+    kernels.extend(_erasure_kernels())
     kernels.append(_gf_kernel())
     kernels.extend(_crypto_kernels())
     kernels.append(_sim_kernel())
     kernels.append(_workload_kernel())
     return kernels
 
-
-def build_gather_kernels() -> List[Kernel]:
-    """The ``.gather`` erasure variants (numpy 2D-gather kernel).
-
-    Empty when numpy is unavailable.
-    """
-    if reed_solomon._np is None:
-        return []
-    return _erasure_kernels(gather=True)

@@ -23,7 +23,7 @@ from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from repro.core.entry import LogEntry
-from repro.ledger.transactions import Transaction, TxBatch, serialize_batch
+from repro.ledger.transactions import Transaction, TxBatch
 from repro.protocols.runtime.events import (
     ClientArrivals,
     EntryBatched,
@@ -394,7 +394,7 @@ class LoadStage:
     def _make_entry(self, seq: int, batch: TxBatch, now: float) -> LogEntry:
         wire_size = batch.size_bytes + 64
         if self.deployment.materialize_payloads:
-            payload = serialize_batch(batch.transactions)
+            payload = batch.serialize()
         else:
             payload = b""
         return LogEntry(

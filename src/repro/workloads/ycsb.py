@@ -20,6 +20,7 @@ from typing import Any, Dict, Iterator, List
 from repro.ledger.execution import TxLogic
 from repro.ledger.state import KVStore, table_key
 from repro.ledger.transactions import (
+    FRESH,
     TX_ENVELOPE_SIZE,
     Transaction,
     TxBatch,
@@ -60,6 +61,11 @@ def _storage_key(code: int) -> str:
     return f"{TABLE}/{code // N_COLUMNS}#field{code % N_COLUMNS}"
 
 
+def _new_column(value: int) -> str:
+    """The column contents an update with ``values`` entry ``value`` writes."""
+    return f"upd:{value}".ljust(COLUMN_BYTES, "y")
+
+
 def _transaction(now: float, code: int, value: int, tx_id: int) -> Transaction:
     """The ``Transaction`` for one row of YCSB columns: key code and
     update value (or ``READ``)."""
@@ -70,17 +76,39 @@ def _transaction(now: float, code: int, value: int, tx_id: int) -> Transaction:
         return Transaction(
             "ycsb_read", keys, (), params, READ_PAYLOAD, created_at=now, tx_id=tx_id
         )
-    params["value"] = f"upd:{value}".ljust(COLUMN_BYTES, "y")
+    params["value"] = _new_column(value)
     return Transaction(
         "ycsb_update", (), keys, params, UPDATE_PAYLOAD, created_at=now, tx_id=tx_id
     )
+
+
+def _read_column(store: KVStore, name: str, key: int, column: int) -> str:
+    """What a read of storage key ``name`` returns: the stored column,
+    or on a miss the initial contents of a row the lazily populated
+    table never materialised."""
+    value = store.get(name)
+    if value is None:
+        value = initial_column(key, column)
+    return value
+
+
+def _read(store: KVStore, tx: Transaction) -> Dict[str, Any]:
+    """Stock per-transaction logic of ``ycsb_read``."""
+    _read_column(store, tx.read_keys[0], tx.params["key"], tx.params["column"])
+    return {}
+
+
+def _update(store: KVStore, tx: Transaction) -> Dict[str, Any]:
+    """Stock per-transaction logic of ``ycsb_update``."""
+    return {tx.write_keys[0]: tx.params["value"]}
 
 
 class YcsbBatch(TxBatch):
     """A YCSB batch as parallel columns: ``due``, key ``codes``, update
     ``values`` (``READ`` marks a read) and a reserved contiguous tx-id
     range starting at ``first_id``. Conflict detection runs on the
-    integer codes; ``Transaction`` objects exist only once asked for.
+    integer codes, and payload bytes and full execution come straight
+    from the columns; ``Transaction`` objects exist only once asked for.
     The two integer columns are packed arrays: they stay with the entry
     for the whole run."""
 
@@ -123,6 +151,57 @@ class YcsbBatch(TxBatch):
         )
 
     key_name = staticmethod(_storage_key)
+
+    def serialize(self) -> bytes:
+        # ``Transaction.serialize`` of every row, without the objects:
+        # kind|id|read keys|write keys|sorted params, NUL-padded to the
+        # wire size, each behind its 4-byte length.
+        read_size = TX_ENVELOPE_SIZE + READ_PAYLOAD
+        update_size = TX_ENVELOPE_SIZE + UPDATE_PAYLOAD
+        out = bytearray()
+        tx_id = self.first_id
+        for code, value in zip(self.codes, self.values):
+            key, column = divmod(code, N_COLUMNS)
+            if value == READ:
+                body = (
+                    f"ycsb_read|{tx_id}|{TABLE}/{key}#field{column}|"
+                    f"|column={column};key={key}"
+                ).encode().ljust(read_size, b"\x00")
+            else:
+                body = (
+                    f"ycsb_update|{tx_id}||{TABLE}/{key}#field{column}"
+                    f"|column={column};key={key};value={_new_column(value)}"
+                ).encode().ljust(update_size, b"\x00")
+            out += len(body).to_bytes(4, "big")
+            out += body
+            tx_id += 1
+        return bytes(out)
+
+    def execute(self, store, logic, only=None, retries=FRESH):
+        # The stock logic, from the columns; any other registered logic
+        # wants ``Transaction`` objects and gets the per-transaction path.
+        stock = logic.get("ycsb_read") is _read and logic.get("ycsb_update") is _update
+        if not stock:
+            return super().execute(store, logic, only, retries)
+        if only is None:
+            rows = zip(self.codes, self.values)
+        else:
+            rows = [(self.codes[index], self.values[index]) for index in only]
+        read_sets: List[tuple] = []
+        buffered: List[Dict[str, Any]] = []
+        add_reads = read_sets.append
+        buffer_writes = buffered.append
+        for code, value in rows:
+            key, column = divmod(code, N_COLUMNS)
+            name = f"{TABLE}/{key}#field{column}"
+            if value == READ:
+                _read_column(store, name, key, column)
+                add_reads((name,))
+                buffer_writes({})
+            else:
+                add_reads(())
+                buffer_writes({name: _new_column(value)})
+        return read_sets, buffered
 
 
 class YcsbWorkload(Workload):
@@ -252,13 +331,4 @@ class YcsbWorkload(Workload):
         return _transaction(now, key * N_COLUMNS + column, value, reserve_tx_ids(1))
 
     def logic(self) -> Dict[str, TxLogic]:
-        def read(store: KVStore, tx: Transaction) -> Dict[str, Any]:
-            key, column = tx.params["key"], tx.params["column"]
-            store.get(self.column_key(key, column), initial_column(key, column))
-            return {}
-
-        def update(store: KVStore, tx: Transaction) -> Dict[str, Any]:
-            key, column = tx.params["key"], tx.params["column"]
-            return {self.column_key(key, column): tx.params["value"]}
-
-        return {"ycsb_read": read, "ycsb_update": update}
+        return {"ycsb_read": _read, "ycsb_update": _update}

@@ -1,5 +1,6 @@
 """Transport-level tests: leader unicast, bijective, encoded bijective."""
 
+import hashlib
 import os
 import random
 
@@ -222,6 +223,150 @@ class TestEncodedBijectiveReal:
             Harness(EncodedBijectiveTransport, sizes=(4, 4), coding="bogus")
 
 
+class _KeptRebuilds(EncodedBijectiveTransport):
+    """Keeps every rebuilder it hands out (inboxes die at delivery)."""
+
+    def _new_rebuild(self, chunk):
+        rebuild = super()._new_rebuild(chunk)
+        self.__dict__.setdefault("rebuilds", []).append(rebuild)
+        return rebuild
+
+
+@pytest.fixture
+def encodings_built(monkeypatch):
+    """Counts Reed-Solomon message encodes and Merkle trees the transport
+    builds, and proof checks and payload validations its receivers run."""
+    from repro.core import replication
+    from repro.crypto.merkle import MerkleProof
+    from repro.erasure.reed_solomon import ReedSolomonCodec
+
+    counts = {"encode": 0, "tree": 0, "verify": 0, "validate": 0}
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        ReedSolomonCodec, "encode", counting("encode", ReedSolomonCodec.encode)
+    )
+    monkeypatch.setattr(
+        replication, "MerkleTree", counting("tree", replication.MerkleTree)
+    )
+    monkeypatch.setattr(MerkleProof, "verify", counting("verify", MerkleProof.verify))
+    rebuilder = replication.OptimisticRebuilder
+    monkeypatch.setattr(
+        replication,
+        "OptimisticRebuilder",
+        lambda codec, validator: rebuilder(codec, counting("validate", validator)),
+    )
+    return counts
+
+
+def _sha(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestTamperedEncodingOnDemand:
+    """The tampered chunks + tree of an (entry, plan) are built by the first
+    sender that really is Byzantine, and by nobody otherwise; what
+    receivers verify, reject and deliver is what the parent commit
+    (2d65a3c, both encodings built up front) produced."""
+
+    #: (rebuild failures, deliveries, sha256 of the (addr, entry, time)
+    #: delivery list, blacklisted chunk ids over all rebuilders and the
+    #: sha256 of their sorted per-rebuilder tuples), recorded at the parent.
+    NO_FAILURES = (
+        0,
+        21,
+        "529741c20bea936f574d6dff49c3ebeb11136c038085099ccd85466cf45f4f48",
+        0,
+        "df32efdf0aeb9ab75528e707033296defbd0c59f013c5d66753390b583141fd5",
+    )
+    WORST_CASE = (
+        4,
+        14,
+        "74c418a693c9484f9059084f7277102d3bba8ded813f0d2ad3b78e3c7203c422",
+        12,
+        "11ae513cc0c76d19a3215135f9854ad316d5cad3c574754ddf39e93b5d2a7ed4",
+    )
+
+    @staticmethod
+    def _run(sizes, senders=(), receivers=()):
+        h = Harness(
+            _KeptRebuilds,
+            sizes=sizes,
+            coding="real",
+            payload=random.Random(5).randbytes(6000),
+        )
+        for index in senders:
+            h.members[0][index].make_byzantine()
+        for index in receivers:
+            h.members[1][index].make_byzantine()
+        h.replicate()
+        blacklisted = sorted(
+            tuple(sorted(rebuild.blacklisted_ids)) for rebuild in h.transport.rebuilds
+        )
+        return (
+            h.transport.monitor_counters.get("rebuild_failures", 0),
+            len(h.delivered),
+            _sha(h.delivered),
+            sum(map(len, blacklisted)),
+            _sha(blacklisted),
+        )
+
+    def test_one_encoding_per_entry_and_plan_without_byzantine_members(
+        self, encodings_built
+    ):
+        assert self._run((7, 7, 7)) == self.NO_FAILURES
+        assert (encodings_built["encode"], encodings_built["tree"]) == (2, 2)
+
+    def test_two_with_byzantine_senders_however_many(self, encodings_built):
+        assert self._run((7, 7, 7), senders=(3, 4)) == self.NO_FAILURES
+        assert (encodings_built["encode"], encodings_built["tree"]) == (4, 4)
+
+    def test_byzantine_senders_and_receivers_fail_the_same_rebuilds(
+        self, encodings_built
+    ):
+        # One plan: genuine + the senders' tampered encoding, plus one
+        # tampered re-encoding by each Byzantine receiver that got a chunk.
+        outcome = self._run((7, 7), senders=(0, 2), receivers=(1, 3))
+        assert outcome == self.WORST_CASE
+        assert (encodings_built["encode"], encodings_built["tree"]) == (4, 4)
+
+    def test_real_payload_run_verifies_and_validates_as_much_as_before(
+        self, encodings_built
+    ):
+        """perfbench's ``real_payload`` inputs at seed 0: every WAN and LAN
+        chunk still passes its Merkle proof and every rebuild its digest
+        validator (7,343 and 2,443 calls at the parent), while only the
+        genuine encoding of each (entry, destination plan) is built."""
+        from repro.protocols import GeoDeployment, protocol_by_name
+        from repro.topology import nationwide_cluster
+        from repro.workloads import make_workload
+
+        deployment = GeoDeployment(
+            nationwide_cluster(7),
+            protocol_by_name("massbft"),
+            make_workload("ycsb-a"),
+            offered_load=30_000.0,
+            seed=0,
+            coding="real",
+            execution="full",
+        )
+        deployment.run(duration=2.0, warmup=0.5)
+        assert len(deployment.entries) == 189
+        assert encodings_built == {
+            "encode": 2 * 189,
+            "tree": 2 * 189,
+            "verify": 7_343,
+            "validate": 2_443,
+        }
+        assert "rebuild_failures" not in deployment.transport.monitor_counters
+
+
 # ----------------------------------------------------------------------
 # Threshold inbox == one delivery event per shared chunk
 # ----------------------------------------------------------------------
@@ -267,9 +412,10 @@ class PerArrivalExchange(_Recorded, EncodedBijectiveTransport):
         key = (addr, chunk.entry_id)
         if key in self._delivered:
             return
-        inbox = self._inboxes.get(key)
+        row = self._inboxes.setdefault(chunk.entry_id, {})
+        inbox = row.get(addr)
         if inbox is None:
-            inbox = self._inboxes[key] = _Inbox(self._new_rebuild(chunk))
+            inbox = row[addr] = _Inbox(self._new_rebuild(chunk))
         self._apply(node, inbox, chunk)
 
 
@@ -478,7 +624,7 @@ class TestThresholdInbox:
                 chunk, chunk.size_bytes,
             )
         h.sim.run(until=0.012)
-        assert len(h.transport._inboxes) == 4
+        assert [len(row) for row in h.transport._inboxes.values()] == [4]
         h.transport.mark_origin_delivered(entry.entry_id)
         assert h.transport._inboxes == {}
         h.sim.run(until=1.0)

@@ -307,22 +307,56 @@ class TestKernelsAndDecodeCache:
             assert codec.decode_chunks(available) == data
         assert len(codec._decode_cache) == 2
 
-    def test_gather_kernel_bit_identical(self):
-        """The alternate numpy gather kernel matches the translate kernel."""
+    def test_numpy_xor_equals_int_xor(self):
+        """The production numpy-XOR accumulation and the int-XOR fallback
+        produce the same bytes, and both equal the per-byte definition."""
         from repro.erasure import reed_solomon
+        from repro.perf.kernels import force_no_numpy
 
         if reed_solomon._np is None:
             pytest.skip("numpy unavailable")
         rng = random.Random(3)
-        for n_rows, n_cols, length in [(1, 1, 1), (3, 5, 64), (7, 7, 300)]:
-            coeffs = [
-                [rng.randrange(256) for _ in range(n_cols)]
-                for _ in range(n_rows)
-            ]
-            rows = self._chunks(n_cols, length, seed=rng.randrange(1 << 30))
-            assert ReedSolomonCodec._apply_matrix(
-                coeffs, rows, length, use_numpy=True
-            ) == ReedSolomonCodec._apply_matrix(coeffs, rows, length)
+        shapes = [(1, 1), (3, 5), (7, 7), (5, 5)]
+        for length in (1, 64, 300, 17_500):
+            for n_rows, n_cols in shapes:
+                coeffs = [
+                    [rng.randrange(256) for _ in range(n_cols)]
+                    for _ in range(n_rows)
+                ]
+                coeffs[0] = [0] * n_cols  # nothing to combine: zeros
+                coeffs.append([1] * n_cols)  # plain XOR, no multiplication
+                coeffs.append([0] * (n_cols - 1) + [1])  # one row, untouched
+                rows = [rng.randbytes(length) for _ in range(n_cols)]
+                fast = ReedSolomonCodec._apply_matrix(coeffs, rows, length)
+                with force_no_numpy():
+                    fallback = ReedSolomonCodec._apply_matrix(coeffs, rows, length)
+                assert fast == fallback
+                assert all(type(row) is bytes and len(row) == length for row in fast)
+                assert fast[0] == bytes(length) and fast[-1] == rows[-1]
+                if length <= 300:
+                    for coefficients, out in zip(coeffs, fast):
+                        expected = bytearray(length)
+                        for coeff, row in zip(coefficients, rows):
+                            for i, byte in enumerate(row):
+                                expected[i] ^= GF256.mul(coeff, byte)
+                        assert out == bytes(expected)
+
+    def test_decode_returns_surviving_data_chunks_as_they_are(self, monkeypatch):
+        """Only lost data chunks go through the row arithmetic."""
+        codec = ReedSolomonCodec(n_data=5, n_parity=3)
+        data = self._chunks(5, 97, seed=8)
+        encoded = codec.encode_chunks(data)
+        combined = []
+        real = ReedSolomonCodec._combine_rows
+        monkeypatch.setattr(
+            ReedSolomonCodec,
+            "_combine_rows",
+            staticmethod(lambda *args: combined.append(1) or real(*args)),
+        )
+        for survivors, lost in [((0, 2, 4, 5, 7), 2), ((3, 4, 5, 6, 7), 3), ((0, 1, 2, 3, 4), 0)]:
+            del combined[:]
+            assert codec.decode_chunks({i: encoded[i] for i in survivors}) == data
+            assert len(combined) == lost
 
     def test_codec_without_numpy(self, monkeypatch):
         """The codec round-trips identically with numpy masked out."""

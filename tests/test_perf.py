@@ -4,11 +4,7 @@ import json
 
 from repro.perf import BenchConfig, compare_to_baseline, run_perf, write_report
 from repro.perf.harness import measure_ops_per_sec
-from repro.perf.kernels import (
-    build_gather_kernels,
-    build_kernels,
-    force_no_numpy,
-)
+from repro.perf.kernels import build_kernels, force_no_numpy
 
 #: Millisecond-scale settings so the suite stays fast.
 TINY = BenchConfig(
@@ -28,7 +24,7 @@ def test_measure_ops_per_sec_positive():
 
 
 def test_kernel_registry_names_unique():
-    kernels = build_kernels() + build_gather_kernels()
+    kernels = build_kernels()
     names = [k.name for k in kernels]
     assert len(names) == len(set(names))
     assert "calibration.spin" in names
@@ -36,11 +32,6 @@ def test_kernel_registry_names_unique():
     assert any(name.startswith("crypto.") for name in names)
     assert any(name.startswith("sim.") for name in names)
     assert any(name.startswith("workload.") for name in names)
-
-
-def test_gather_kernels_empty_without_numpy():
-    with force_no_numpy():
-        assert build_gather_kernels() == []
 
 
 def test_run_perf_kernels_only_without_numpy():

@@ -2,8 +2,10 @@
 
 The batch generator must be the ``generate()`` stream in another shape,
 the conflict plan must be the per-transaction Aria executor
-(:mod:`tests.aria_reference`) computed once, and a modeled run must get
-from arrival to commit without building a ``Transaction``.
+(:mod:`tests.aria_reference`) computed once, a YCSB batch's payload bytes
+and full execution must be its transactions' without the objects, and a
+YCSB run — modeled or real-coded and fully executed — must get from
+arrival to commit without building a ``Transaction``.
 """
 
 import hashlib
@@ -13,9 +15,10 @@ from array import array
 
 import pytest
 
-from repro.ledger import execution
+from repro.ledger import execution, transactions
 from repro.ledger.execution import AriaExecutor, ExecutionPipeline
-from repro.ledger.transactions import Transaction, TxBatch
+from repro.ledger.state import KVStore
+from repro.ledger.transactions import Transaction, TxBatch, serialize_batch
 from repro.protocols import GeoDeployment, protocol_by_name
 from repro.protocols.runtime.events import EntryExecuted
 from repro.protocols.runtime.load import ClientLoad
@@ -24,8 +27,13 @@ from repro.traffic import HotspotDrift, TrafficSpec, gold_silver_bronze
 from repro.workloads import make_workload
 from repro.workloads.smallbank import SmallBankWorkload
 from repro.workloads.tpcc import TpccWorkload
-from repro.workloads.ycsb import COLUMN_BYTES, YcsbBatch, YcsbWorkload
-from tests.aria_reference import ReferencePipeline
+from repro.workloads.ycsb import (
+    COLUMN_BYTES,
+    YcsbBatch,
+    YcsbWorkload,
+    initial_column,
+)
+from tests.aria_reference import FullReferencePipeline, ReferencePipeline
 from tests.conftest import tiny_cluster
 
 
@@ -96,6 +104,18 @@ class TestYcsbBatchGeneration:
             tx.write_keys for tx in txns
         ]
 
+    @pytest.mark.parametrize("size", [0, 1, 7, 700])
+    def test_payload_bytes_are_the_transactions_serialised(
+        self, seed, read_fraction, drift, size
+    ):
+        gen = ycsb(read_fraction, drift).batch_generator_for(random.Random(seed))
+        batch = gen(DUE[:size])
+        payload = batch.serialize()
+        assert batch._txns is None and type(payload) is bytes
+        assert payload == serialize_batch(batch.transactions)
+        assert payload == TxBatch(batch.transactions).serialize()
+        assert len(payload) == batch.size_bytes + 4 * size
+
     @pytest.mark.parametrize("chunk", [1, 7, 500])
     def test_chunked_batches_equal_one_big_batch(
         self, seed, read_fraction, drift, chunk
@@ -142,6 +162,19 @@ def test_default_batch_generator_wraps_the_generate_stream():
 # ----------------------------------------------------------------------
 # Conflict plan == the plain per-transaction executor
 # ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def transactions_built(monkeypatch):
+    built = []
+    init = Transaction.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Transaction, "__init__", counting)
+    return built
 
 
 def tx(now, reads=(), writes=()):
@@ -245,6 +278,97 @@ class TestConflictPlanEquivalence:
             assert entry.plan is not None  # only the modeled run cached it
 
 
+# ----------------------------------------------------------------------
+# Full execution from the columns == the per-transaction executor
+# ----------------------------------------------------------------------
+
+
+def plain_ycsb_logic():
+    """YCSB's execution logic as the parent commit wrote it, working from
+    ``tx.params`` alone: the reference for the stock logic."""
+
+    def read(store, tx):
+        key, column = tx.params["key"], tx.params["column"]
+        store.get(YcsbWorkload.column_key(key, column), initial_column(key, column))
+        return {}
+
+    def update(store, tx):
+        key, column = tx.params["key"], tx.params["column"]
+        return {YcsbWorkload.column_key(key, column): tx.params["value"]}
+
+    return {"ycsb_read": read, "ycsb_update": update}
+
+
+def store_state(store):
+    return sorted(store.scan_prefix("")), store.writes_applied, store.batches_applied
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("read_fraction", [0.5, 0.95])
+@pytest.mark.parametrize("populated", [True, False])
+def test_columnar_full_execution_matches_reference(
+    seed, read_fraction, populated, transactions_built
+):
+    workload = ycsb(read_fraction, n_rows=40)
+    stores = KVStore(), KVStore()
+    if populated:
+        for store in stores:
+            workload.populate(store)
+    executor = AriaExecutor(stores[0])
+    workload.register(executor)
+    pipe = ExecutionPipeline(executor)
+    ref = FullReferencePipeline(plain_ycsb_logic(), stores[1])
+
+    rng = random.Random(seed)
+    gen = workload.batch_generator_for(rng)
+    clock = iter(i * 0.0005 for i in range(100_000))
+    sizes = [300, 300, 300, 300, 0, 1, 30, 120]
+    aborts = []
+    for size in sizes:
+        batch = gen([next(clock) for _ in range(size)])
+        result = pipe.execute_entry(batch)
+        # Columns only — until the reference asks for the objects.
+        assert batch._txns is None and not transactions_built
+        carried = pipe._carried[1].aborted if pipe._carried else []
+        committed, aborted = ref.execute_entry(batch.transactions)
+        del transactions_built[:]
+        assert list(carried) == aborted
+        assert result.aborted == len(aborted)
+        assert result.commit_times == tuple(tx.created_at for tx in committed)
+        assert pipe.carryover == ref.carryover
+        assert store_state(stores[0]) == store_state(stores[1])
+        aborts.append(len(aborted))
+    # Reads of a key an earlier update in the same entry wrote: RAW aborts
+    # in consecutive entries, each carried through the sequential lane.
+    assert all(aborts[:4]) and sum(aborts) == executor.total_aborted
+    assert executor.total_committed == sum(sizes) - len(pipe.carryover)
+
+
+def test_custom_logic_still_runs_per_transaction(transactions_built):
+    workload = ycsb(n_rows=40)
+    entries = [
+        workload.batch_generator_for(random.Random(4))(DUE[i : i + 80])
+        for i in (0, 80, 160)
+    ]
+    stock, custom = AriaExecutor(), AriaExecutor()
+    workload.register(stock)
+    workload.register(custom)
+    seen = []
+
+    def update(store, tx):
+        seen.append(tx.tx_id)
+        return {tx.write_keys[0]: tx.params["value"]}
+
+    custom.register_logic("ycsb_update", update)
+    stock_pipe, custom_pipe = ExecutionPipeline(stock), ExecutionPipeline(custom)
+    for entry in entries:
+        assert stock_pipe.execute_entry(entry) == custom_pipe.execute_entry(entry)
+    assert len(transactions_built) == sum(map(len, entries))
+    updates = [tx.tx_id for entry in entries for tx in entry if tx.kind == "ycsb_update"]
+    assert seen == updates  # blind writes never abort: each ran exactly once
+    assert store_state(stock.store) == store_state(custom.store)
+
+
 @pytest.fixture
 def plans_built(monkeypatch):
     """Counts conflict analyses (one per plan built)."""
@@ -325,21 +449,8 @@ def test_two_pipelines_fed_the_same_entries_end_with_equal_stores(name):
 
 
 # ----------------------------------------------------------------------
-# A modeled run builds no Transaction; full and tenant runs still do
+# A YCSB run builds no Transaction, modeled or real/full; tenant runs do
 # ----------------------------------------------------------------------
-
-
-@pytest.fixture
-def transactions_built(monkeypatch):
-    built = []
-    init = Transaction.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Transaction, "__init__", counting)
-    return built
 
 
 def fig08_shaped(**options):
@@ -385,13 +496,21 @@ class TestNoMaterialisation:
         retained = sum(deep_size(entry.batch, seen) for entry in entries)
         assert retained / sum(entry.tx_count for entry in entries) < 256
 
-    def test_full_execution_still_materialises(self, transactions_built):
-        deployment = fig08_shaped(offered_load=2_000.0, execution="full")
+    def test_real_coded_full_execution_builds_no_transaction(
+        self, transactions_built
+    ):
+        deployment = fig08_shaped(
+            offered_load=2_000.0, coding="real", execution="full"
+        )
         metrics = deployment.run(duration=0.4, warmup=0.1)
         assert metrics.committed > 0
         entries = list(deployment.entries.values())
-        assert entries and all(e.batch._txns is not None for e in entries)
-        assert len(transactions_built) == sum(e.tx_count for e in entries)
+        assert not transactions_built
+        assert entries and all(e.batch._txns is None for e in entries)
+        # The bytes that travelled and the writes that landed are real.
+        assert all(
+            len(e.payload) == e.batch.size_bytes + 4 * e.tx_count for e in entries
+        )
         store = deployment.observer_of(0).pipeline.store
         values = [str(value) for _, value in store.scan_prefix("usertable/")]
         assert any(value.startswith("upd:") for value in values)
@@ -445,8 +564,10 @@ PARENT_PUBLISHED = {
 }
 
 
-def published_digest(**options):
-    deployment = fig08_shaped(**options)
+def record_executed(deployment):
+    """Subscribes to ``EntryExecuted``; returns the running sha256 over
+    every published (entry id, commit_times, commit_tenants, aborted) and
+    the list of per-entry commit counts."""
     digest = hashlib.sha256()
     committed = []
 
@@ -464,6 +585,12 @@ def published_digest(**options):
         committed.append(len(event.commit_times))
 
     deployment.bus.subscribe(EntryExecuted, on_executed)
+    return digest, committed
+
+
+def published_digest(**options):
+    deployment = fig08_shaped(**options)
+    digest, committed = record_executed(deployment)
     deployment.run(duration=0.8, warmup=0.2)
     return digest.hexdigest(), sum(committed)
 
@@ -478,3 +605,55 @@ def test_entry_executed_publishes_what_the_parent_commit_published(traffic):
     if traffic != "constant":
         options = {"offered_load": spec.offered_load(range(3)), "traffic": spec}
     assert published_digest(**options) == PARENT_PUBLISHED[traffic]
+
+
+#: The same fig08-shaped deployment with ``coding="real"`` and
+#: ``execution="full"``, at the parent commit (2d65a3c: payloads from
+#: ``serialize_batch`` over materialised transactions, per-transaction
+#: logic): sha256 over every payload and over every entry digest in
+#: (gid, seq) order, the ``EntryExecuted`` stream, transactions committed,
+#: entries, and per observer (store items sha256, writes_applied,
+#: batches_applied).
+PARENT_REAL_FULL = (
+    "70839cacacf6d15605947ca4dcd85e1f3e79f7cad666255b966b14a7aaf59423",
+    "62c957cc622eb7aa3eef07041c37e566a2f5fc7bc08a4ab8d2001440285498ce",
+    "bc04238066ee0ddeccca906997e42402afc7dcaf946d0cf456f42be44af53b44",
+    7920,
+    87,
+    [
+        ("c9b063961555d04734c36261ac749d3fffcfe65221c2d9bc85c33bb7fd497f0d", 4625, 173),
+        ("eeb4f181d324d97b2705bb444f31bb93827fc10221ded68e4457e1e36e7fc6fb", 4517, 169),
+        ("95ce3f284669d26190b12652f6bd8d8291da8f1c20567225e6518d82c135a230", 4569, 172),
+    ],
+)
+
+
+def test_real_full_run_ships_and_executes_what_the_parent_commit_did(monkeypatch):
+    # Transaction ids are part of the payload bytes and come from one
+    # process-wide sequence: start it where a fresh process does.
+    monkeypatch.setattr(transactions, "_next_tx_id", 1)
+    deployment = fig08_shaped(offered_load=6_000.0, coding="real", execution="full")
+    executed, _ = record_executed(deployment)
+    metrics = deployment.run(duration=0.6, warmup=0.15)
+    payloads, digests = hashlib.sha256(), hashlib.sha256()
+    for entry_id in sorted(deployment.entries):
+        entry = deployment.entries[entry_id]
+        payloads.update(entry.payload)
+        digests.update(entry.digest)
+    observers = sorted(
+        (node for node in deployment.nodes.values() if node.is_observer),
+        key=lambda node: node.addr,
+    )
+    stores = []
+    for node in observers:
+        items, writes, batches = store_state(node.pipeline.store)
+        stores.append((hashlib.sha256(repr(items).encode()).hexdigest(), writes, batches))
+    assert (
+        payloads.hexdigest(),
+        digests.hexdigest(),
+        executed.hexdigest(),
+        metrics.committed,
+        len(deployment.entries),
+        stores,
+    ) == PARENT_REAL_FULL
+    assert all(node.pipeline.executor.total_aborted > 0 for node in observers)
