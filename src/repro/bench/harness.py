@@ -1,6 +1,6 @@
 """The experiment runner: one call per figure data point.
 
-Wraps :class:`repro.protocols.base.GeoDeployment` construction and
+Wraps :class:`repro.protocols.GeoDeployment` construction and
 execution behind a declarative :class:`RunConfig`, echoing everything a
 reader needs to reproduce a row into the :class:`RunResult`.
 """

@@ -7,7 +7,7 @@ Usage (after ``pip install -e .``)::
     python -m repro compare --workload tpcc  # all protocols side by side
     python -m repro check --episodes 20      # safety-invariant sweep
 
-Every option mirrors a :class:`repro.protocols.base.GeoDeployment`
+Every option mirrors a :class:`repro.protocols.GeoDeployment`
 constructor argument; defaults reproduce the paper's nationwide setup.
 """
 
@@ -65,25 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--warmup", type=float, default=0.5)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
-            "--kernel",
-            choices=("classic", "laned"),
-            default="classic",
-            help="event core: single heap loop, or per-group lanes with "
-            "conservative WAN sync (byte-identical outputs)",
-        )
-        p.add_argument(
-            "--lanes",
-            type=int,
-            default=None,
-            help="group-lane count for --kernel laned (default: one per group)",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="lane-to-worker partition for --kernel laned",
-        )
-        p.add_argument(
             "--control",
             choices=CONTROL_CHOICES,
             default=None,
@@ -103,8 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         default=None,
         metavar="JSON",
-        help="write the metrics summary as deterministic JSON "
-        "(kernel-equivalence diffs in CI)",
+        help="write the metrics summary as deterministic JSON",
     )
 
     compare = sub.add_parser("compare", help="run several protocols side by side")
@@ -239,12 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="kernels only (skips the deployment run and the gate)",
     )
     perf.add_argument(
-        "--lanes",
-        type=int,
-        default=2,
-        help="laned-kernel worker count for the sim lane-scaling point",
-    )
-    perf.add_argument(
         "--profile",
         action="store_true",
         help="cProfile the end-to-end point and embed the top cumulative "
@@ -253,53 +227,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     scale = sub.add_parser(
         "scale",
-        help="laned-kernel scaling: run the synthetic lane workload on "
-        "the classic or laned kernel (deterministic digests), or the "
-        "full fig13-style group sweep",
+        help="synthetic scale point: per-group consensus message storms "
+        "plus WAN certificates on the event core alone (deterministic "
+        "per-group digests)",
     )
     scale.add_argument("--groups", type=int, default=8, help="number of groups")
     scale.add_argument("--nodes", type=int, default=7, help="nodes per group")
     scale.add_argument("--duration", type=float, default=0.5)
     scale.add_argument(
-        "--kernel", choices=("classic", "laned"), default="classic"
-    )
-    scale.add_argument(
-        "--lanes",
-        type=int,
-        default=1,
-        help="worker count for --kernel laned (forked when > 1)",
-    )
-    scale.add_argument(
-        "--sweep",
-        action="store_true",
-        help="run the full group-count sweep (4..32 groups, all kernels, "
-        "digest cross-check) instead of one point",
-    )
-    scale.add_argument(
-        "--sweep-groups",
-        default="4,8,16,32",
-        help="comma-separated group counts for --sweep",
-    )
-    scale.add_argument(
-        "--transport",
-        choices=("shm", "pipe"),
-        default=None,
-        help="inter-lane transport for forked laned runs "
-        "(default: REPRO_LANE_TRANSPORT or shm)",
-    )
-    scale.add_argument(
-        "--speedup-check",
-        action="store_true",
-        help="CI gate: assert the laned kernel with --lanes workers "
-        "beats one worker on wall-clock (skipped with a notice on "
-        "machines with fewer cores than workers)",
-    )
-    scale.add_argument(
         "--out",
         default=None,
         metavar="JSON",
-        help="write the deterministic result record (byte-for-byte "
-        "comparable across kernels and worker counts)",
+        help="write the deterministic result record",
     )
 
     traffic = sub.add_parser(
@@ -317,21 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     traffic.add_argument("--seed", type=int, default=0)
     traffic.add_argument(
-        "--kernel", choices=("classic", "laned"), default="classic"
-    )
-    traffic.add_argument(
-        "--lanes",
-        type=int,
-        default=None,
-        help="group-lane count for --kernel laned (default: one per group)",
-    )
-    traffic.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="lane-to-worker partition for --kernel laned",
-    )
-    traffic.add_argument(
         "--quick", action="store_true", help="CI smoke preset (shorter runs)"
     )
     traffic.add_argument(
@@ -339,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="write one deterministic traffic_<scenario>.json per "
-        "scenario (e.g. benchmarks/); byte-identical across kernels",
+        "scenario (e.g. benchmarks/)",
     )
     traffic.add_argument(
         "--list", action="store_true", help="list scenarios and exit"
@@ -365,21 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     control.add_argument("--seed", type=int, default=0)
     control.add_argument(
-        "--kernel", choices=("classic", "laned"), default="classic"
-    )
-    control.add_argument(
-        "--lanes",
-        type=int,
-        default=None,
-        help="group-lane count for --kernel laned (default: one per group)",
-    )
-    control.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="lane-to-worker partition for --kernel laned",
-    )
-    control.add_argument(
         "--quick", action="store_true", help="CI smoke preset (shorter runs)"
     )
     control.add_argument(
@@ -387,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="write the deterministic control_ab.json artifact here "
-        "(e.g. benchmarks/); byte-identical across kernels",
+        "(e.g. benchmarks/)",
     )
     control.add_argument(
         "--list", action="store_true", help="list scenarios and exit"
@@ -447,9 +356,6 @@ def _run_one(protocol: str, args: argparse.Namespace):
         make_workload(args.workload),
         offered_load=args.load,
         seed=args.seed,
-        kernel=getattr(args, "kernel", "classic"),
-        lanes=getattr(args, "lanes", None),
-        workers=getattr(args, "workers", 1),
         control=getattr(args, "control", None),
     )
     metrics = deployment.run(duration=args.duration, warmup=args.warmup)
@@ -488,21 +394,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("  latency breakdown:")
         for phase, seconds in sorted(metrics.phase_durations().items()):
             print(f"    {phase:<20} {seconds * 1000:7.2f} ms")
-    report = deployment.lane_report()
-    if report is not None:
-        print(
-            f"  lane kernel : {report['plan']}; "
-            f"{report['cross_lane_posts']} cross-lane posts "
-            f"({report['cross_lane_fraction']:.1%} of "
-            f"{report['events']} events), min slack "
-            f"{report['min_cross_slack'] * 1000:.2f} ms "
-            f"-> conservative {'OK' if report['conservative_ok'] else 'VIOLATED'}"
-        )
     if args.metrics_out is not None:
         import json
 
-        # Deliberately kernel-agnostic: classic and laned runs of the
-        # same scenario must produce byte-identical files.
         record = {
             "committed": metrics.committed,
             "events": deployment.sim.events_processed,
@@ -666,20 +560,11 @@ def cmd_perf(args: argparse.Namespace) -> int:
         config,
         log=print,
         end_to_end=not args.no_end_to_end,
-        lanes=args.lanes,
         profile=args.profile,
     )
     output = Path(args.output)
     write_report(report, output)
     print(f"wrote {output}")
-
-    sim = report.get("sim", {})
-    if sim and not sim.get("digest_match", True):
-        print(
-            "laned kernel gate FAILED: per-group digests diverged from "
-            "the classic kernel"
-        )
-        return 1
 
     baseline_path = Path(args.baseline)
     if args.update_baseline:
@@ -726,83 +611,22 @@ def cmd_perf(args: argparse.Namespace) -> int:
             f"sim events/s vs baseline: {sim_ratio:.2f}x (normalized; "
             f"floor {1.0 - tolerance:.2f}x)"
         )
-    speedup = verdict.get("lane_speedup")
-    if speedup is not None:
-        gated = verdict.get("lane_speedup_gated")
-        print(
-            f"lane speedup: {speedup:.2f}x "
-            f"({'gated, floor 2.00x' if gated else 'informational: too few cores to gate'})"
-        )
     if not verdict["ok"]:
         print(f"perf gate FAILED: {verdict['reason']}")
     return 0 if verdict["ok"] else 1
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
-    # Imported lazily: the lane bench pulls in the sim + topology stack.
+    # Imported lazily: the scale bench pulls in the sim + topology stack.
     import json
 
-    from repro.perf.lanebench import (
-        lane_scaling_sweep,
-        scale_point,
-        speedup_check,
-    )
-
-    if args.speedup_check:
-        workers = max(2, args.lanes)
-        record = speedup_check(
-            n_groups=args.groups,
-            nodes_per_group=args.nodes,
-            duration=args.duration,
-            workers=workers,
-            transport=args.transport,
-            log=print,
-        )
-        if args.out is not None:
-            Path(args.out).write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"wrote {args.out}")
-        return 0 if record["ok"] else 1
-
-    if args.sweep:
-        counts = tuple(
-            int(c) for c in args.sweep_groups.split(",") if c.strip()
-        )
-        workers = max(2, args.lanes)
-        print(
-            f"lane-scaling sweep: groups {list(counts)}, "
-            f"{args.nodes} nodes/group, {args.duration}s simulated, "
-            f"laned x{workers} workers"
-        )
-        result = lane_scaling_sweep(
-            group_counts=counts,
-            nodes_per_group=args.nodes,
-            duration=args.duration,
-            workers=workers,
-            log=print,
-            transport=args.transport,
-        )
-        if args.out is not None:
-            Path(args.out).write_text(
-                json.dumps(result, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"wrote {args.out}")
-        if not result["digest_match"]:
-            print("FAILED: kernel digests diverged")
-            return 1
-        return 0
+    from repro.perf.scalebench import scale_point
 
     record = scale_point(
-        args.groups,
-        nodes_per_group=args.nodes,
-        duration=args.duration,
-        kernel=args.kernel,
-        lanes=args.lanes,
-        transport=args.transport,
+        args.groups, nodes_per_group=args.nodes, duration=args.duration
     )
     print(
-        f"{args.kernel} kernel, {record['groups']} groups x "
+        f"{record['groups']} groups x "
         f"{record['nodes_per_group']} nodes ({record['total_nodes']} total), "
         f"{record['duration']}s simulated: {record['events']} events, "
         f"merged digest {record['merged_digest']}"
@@ -836,9 +660,6 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     docs = run_suite(
         names,
         seed=args.seed,
-        kernel=args.kernel,
-        lanes=args.lanes,
-        workers=args.workers,
         quick=args.quick,
         out_dir=args.out_dir,
         log=print,
@@ -915,9 +736,6 @@ def cmd_control(args: argparse.Namespace) -> int:
         names,
         policies=policies,
         seed=args.seed,
-        kernel=args.kernel,
-        lanes=args.lanes,
-        workers=args.workers,
         quick=args.quick,
         log=print,
     )

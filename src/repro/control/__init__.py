@@ -17,7 +17,7 @@ batch formation, commits — and actuates protocol knobs live:
 Determinism contract: every policy is a **pure function of the sampled
 telemetry window sequence and the seed** — no wall clock, no RNG draws
 at decision time — so the same (seed, schedule) replays the identical
-decision sequence on the classic and laned kernels, byte for byte.
+decision sequence, byte for byte.
 Each actuation bumps the deployment-wide ``control_epoch`` (mirroring
 the membership-epoch invalidation machinery) and publishes a
 :class:`~repro.protocols.runtime.events.ControlDecision` on the bus,

@@ -13,16 +13,15 @@ scenarios cover the regimes the controller targets:
   static baseline on goodput or p99 here.
 * ``flash-crowd`` — a regional spike against the admission gates.
 
-Artifacts are deterministic, kernel-agnostic JSON (same bytes on the
-classic and laned kernels — CI diffs them), written as
-``benchmarks/control_ab.json``.
+Artifacts are deterministic JSON (same bytes on every run — CI runs the
+sweep twice and diffs), written as ``benchmarks/control_ab.json``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Decimal places for floats in artifacts.
 _DIGITS = 6
@@ -128,9 +127,6 @@ def run_point(
     scenario: Scenario,
     policy: str,
     seed: int = 0,
-    kernel: str = "classic",
-    lanes: Optional[int] = None,
-    workers: int = 1,
     quick: bool = False,
 ) -> Dict:
     """One (scenario, policy) deployment run -> artifact record."""
@@ -145,9 +141,6 @@ def run_point(
         make_workload("ycsb-a"),
         offered_load=offered_load,
         seed=seed,
-        kernel=kernel,
-        lanes=lanes,
-        workers=workers,
         traffic=traffic,
         control=None if policy == "static-off" else policy,
     )
@@ -218,9 +211,6 @@ def run_ab(
     scenarios=None,
     policies=POLICIES,
     seed: int = 0,
-    kernel: str = "classic",
-    lanes: Optional[int] = None,
-    workers: int = 1,
     quick: bool = False,
     log=None,
 ) -> Dict:
@@ -233,18 +223,8 @@ def run_ab(
         runs = []
         for policy in policies:
             if log is not None:
-                log(f"  {name} / {policy} (seed {seed}, kernel {kernel})")
-            runs.append(
-                run_point(
-                    scenario,
-                    policy,
-                    seed=seed,
-                    kernel=kernel,
-                    lanes=lanes,
-                    workers=workers,
-                    quick=quick,
-                )
-            )
+                log(f"  {name} / {policy} (seed {seed})")
+            runs.append(run_point(scenario, policy, seed=seed, quick=quick))
         docs.append(
             {
                 "scenario": scenario.name,

@@ -19,10 +19,10 @@ entry e, certificate-verified") but differ in who sends and how much:
   each chunk carrying a Merkle proof; receivers exchange chunks over LAN
   and optimistically rebuild (Section IV-C).
 
-Transports operate on *participant* objects (``repro.protocols.base.GeoNode``)
-exposing ``gid``/``index`` plus the SimNode messaging API, and call
-``deliver(node, entry_id)`` exactly once per (node, entry) when the entry
-is locally available and validated.
+Transports operate on *participant* objects
+(``repro.protocols.runtime.GeoNode``) exposing ``gid``/``index`` plus
+the SimNode messaging API, and call ``deliver(node, entry_id)`` exactly
+once per (node, entry) when the entry is locally available and validated.
 
 Coding modes: ``real`` erasure-codes the entry's actual payload bytes
 (used by correctness tests, examples, and the fault experiments);
@@ -147,9 +147,6 @@ class _TransportBase:
         #: Invalidated on membership change (the epoch counts changes).
         self._route_cache: Dict[int, List[int]] = {}
         self.membership_epoch = 0
-        #: Optional lane plan: when attached, WAN pushes are accounted as
-        #: same-lane vs cross-lane (the laned kernel's sync-relevant set).
-        self.lane_plan = None
 
     def group_size(self, gid: int) -> int:
         return len(self.members[gid])
@@ -198,22 +195,6 @@ class _TransportBase:
             self._route_cache[gid] = routes
         return routes
 
-    def attach_lane_plan(self, plan) -> None:
-        """Enable per-route lane accounting (laned kernel only)."""
-        self.lane_plan = plan
-
-    def _note_wan_routes(self, src_gid: int) -> None:
-        """Count this entry's same-lane vs cross-lane destination routes."""
-        plan = self.lane_plan
-        if plan is None:
-            return
-        src_lane = plan.lane_of_group(src_gid)
-        for dst_gid in self.other_groups(src_gid):
-            if plan.lane_of_group(dst_gid) != src_lane:
-                self._count("wan.cross_lane_routes")
-            else:
-                self._count("wan.same_lane_routes")
-
     def _count(self, key: str, amount: int = 1) -> None:
         self.monitor_counters[key] = self.monitor_counters.get(key, 0) + amount
 
@@ -256,7 +237,6 @@ class LeaderUnicastTransport(_TransportBase):
         """Called once per entry after local commit; only ``leader`` sends."""
         sender = leader
         self.mark_origin_delivered(entry.entry_id)
-        self._note_wan_routes(entry.gid)
         # One payload object and one batched fan-out over every remote
         # receiver: the leader's NIC drains in a single accumulate instead
         # of per-copy acquires (same copy order, so same wire schedule).
@@ -335,7 +315,6 @@ class BijectiveTransport(LeaderUnicastTransport):
         """Called once per entry; ``f1+f2+1`` members transmit independently."""
         self.mark_origin_delivered(entry.entry_id)
         src_gid = entry.gid
-        self._note_wan_routes(src_gid)
         f1 = self.faulty_bound(src_gid)
         # Group the (sender, receiver) pairs by sender so each sender's
         # copies drain its NIC in one batched fan-out. Per-sender copy
@@ -432,7 +411,6 @@ class EncodedBijectiveTransport(_TransportBase):
         transmits its plan share to every destination group."""
         self.mark_origin_delivered(entry.entry_id)
         src_gid = entry.gid
-        self._note_wan_routes(src_gid)
         encode_cost = self.costs.encode_seconds(entry.size_bytes)
         for dst_gid in self.other_groups(src_gid):
             plan = self.plan_for(src_gid, dst_gid)

@@ -89,10 +89,6 @@ def chrome_trace_doc(trace) -> Dict[str, Any]:
     events: List[Dict[str, Any]] = []
 
     # --- entry spans: one process per group, greedy-packed lanes -------
-    # Under the laned kernel the trace meta carries the group->event-lane
-    # map; fold it into the process label so Perfetto groups visually by
-    # kernel lane.
-    kernel_lanes = (trace.meta.get("lanes") or {}).get("lane_of_group", {})
     roots_by_gid: Dict[int, List[Span]] = {}
     for root in trace.entry_roots:
         roots_by_gid.setdefault(root.args.get("gid", 0), []).append(root)
@@ -100,10 +96,7 @@ def chrome_trace_doc(trace) -> Dict[str, Any]:
         pid = PID_ENTRIES_BASE + gid
         roots = roots_by_gid[gid]
         lanes = _pack_lanes(roots)
-        label = f"g{gid} entries"
-        if str(gid) in kernel_lanes:
-            label = f"g{gid} entries [kernel lane {kernel_lanes[str(gid)]}]"
-        events.append(_meta("process_name", pid, 0, label))
+        events.append(_meta("process_name", pid, 0, f"g{gid} entries"))
         for lane in sorted(set(lanes.values())):
             events.append(
                 _meta("thread_name", pid, lane + 1, f"lane {lane}")

@@ -30,7 +30,6 @@ Span trees per entry (simulated time)::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -350,25 +349,9 @@ class Tracer:
                 f"g{gid}/{reason}": count
                 for (gid, reason), count in sorted(self._gated.items())
             },
-            "kernel": getattr(self.deployment, "kernel", "classic"),
         }
         if controls:
             meta["control_decisions"] = len(controls)
-        plan = getattr(self.deployment, "lane_plan", None)
-        if plan is not None:
-            # Worker count is deliberately excluded: the trace must stay
-            # byte-identical across worker partitions of the same plan.
-            meta["lanes"] = {
-                "plan": plan.describe(),
-                "n_lanes": plan.n_lanes,
-                "lookahead": (
-                    plan.lookahead if math.isfinite(plan.lookahead) else "inf"
-                ),
-                "lane_of_group": {
-                    str(g): plan.lane_of_group(g)
-                    for g in range(plan.n_groups)
-                },
-            }
         return Trace(
             entry_roots=roots,
             message_spans=messages,

@@ -14,18 +14,13 @@ from repro.perf.harness import (
     run_perf,
     write_report,
 )
-from repro.perf.lanebench import (
-    lane_scaling_sweep,
-    run_lane_bench,
-    scale_point,
-)
+from repro.perf.scalebench import run_sim_bench, scale_point
 
 __all__ = [
     "BenchConfig",
     "compare_to_baseline",
-    "lane_scaling_sweep",
-    "run_lane_bench",
     "run_perf",
+    "run_sim_bench",
     "scale_point",
     "write_report",
 ]

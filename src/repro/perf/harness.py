@@ -277,18 +277,15 @@ def run_perf(
     config: Optional[BenchConfig] = None,
     log: Optional[Callable[[str], None]] = None,
     end_to_end: bool = True,
-    lanes: int = 2,
     profile: bool = False,
 ) -> Dict[str, object]:
     """Run the full suite and return the report dict.
 
-    ``lanes`` is the laned-kernel worker count for the ``sim`` section
-    (the lane-scaling point; see :mod:`repro.perf.lanebench`).
     ``profile`` additionally cProfiles one end-to-end run and embeds the
     top cumulative functions in the report under ``"profile"``.
     """
     from repro.erasure import reed_solomon
-    from repro.perf.lanebench import run_lane_bench
+    from repro.perf.scalebench import run_sim_bench
 
     config = config or BenchConfig()
     gc_was_enabled = gc.isenabled()
@@ -304,10 +301,8 @@ def run_perf(
             "kernels": kernels,
         }
         if log:
-            log("sim (laned kernel):")
-        report["sim"] = run_lane_bench(
-            quick=config.quick, lanes=lanes, log=log
-        )
+            log("sim (event core, synthetic scale point):")
+        report["sim"] = run_sim_bench(quick=config.quick, log=log)
         report["normalized_sim_events"] = (
             report["sim"]["events_per_sec"]
             / kernels["calibration.spin"]["ops_per_sec"]
@@ -380,17 +375,11 @@ def compare_to_baseline(
 ) -> Dict[str, object]:
     """Regression verdict of ``report`` against ``baseline``.
 
-    Gates, in order of severity:
+    Gates:
 
-    * ``sim.digest_match`` — the laned kernel reproduced the classic
-      event stream exactly. A mismatch is a correctness bug and fails
-      regardless of machine or baseline.
     * the machine-speed-normalized end-to-end rate against baseline;
     * the normalized simulator event rate (``sim.events_per_sec`` /
-      calibration spin) against baseline, same tolerance band;
-    * ``sim.lane_speedup >= 2`` — only on machines with >= 4 cores
-      (parallel speedup cannot exist on fewer; recorded as
-      informational there).
+      calibration spin) against baseline, same tolerance band.
 
     Kernel rates are reported as ratios for context but do not fail the
     check — individual microbenchmarks are too noisy across runners to
@@ -406,27 +395,6 @@ def compare_to_baseline(
     verdict["kernel_ratios"] = kernel_ratios
 
     failures = []
-
-    sim = report.get("sim")
-    if sim is not None:
-        verdict["sim_digest_match"] = bool(sim.get("digest_match"))
-        if not sim.get("digest_match"):
-            failures.append(
-                "laned kernel digests diverged from the classic kernel"
-            )
-        cores = sim.get("cores", 1)
-        speedup = sim.get("lane_speedup")
-        if cores >= 4 and sim.get("lanes", 1) >= 2 and speedup is not None:
-            verdict["lane_speedup"] = speedup
-            verdict["lane_speedup_gated"] = True
-            if speedup < 2.0:
-                failures.append(
-                    f"lane speedup {speedup:.2f}x below the 2x floor "
-                    f"on a {cores}-core machine"
-                )
-        else:
-            verdict["lane_speedup"] = speedup
-            verdict["lane_speedup_gated"] = False
 
     current_sim = report.get("normalized_sim_events")
     reference_sim = baseline.get("normalized_sim_events")

@@ -49,7 +49,6 @@ from repro.protocols.runtime.node import GeoNode
 from repro.protocols.runtime.ordering_exec import (
     OrderingExecStage,
     SequenceOrderer,
-    _SequenceOrderer,
 )
 from repro.protocols.runtime.slots import SlotToken
 from repro.protocols.runtime.spec import ProtocolSpec, StageOverrides
@@ -85,6 +84,5 @@ __all__ = [
     "SlotToken",
     "StageOverrides",
     "StageTrace",
-    "_SequenceOrderer",
     "build_transport",
 ]

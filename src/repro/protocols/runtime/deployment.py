@@ -22,7 +22,6 @@ Stages communicate through the typed event bus
 from __future__ import annotations
 
 import gc
-from contextlib import nullcontext
 from typing import Any, Dict, List, Optional
 
 from repro.bench.metrics import RunMetrics
@@ -47,7 +46,6 @@ from repro.protocols.runtime.node import GeoNode
 from repro.protocols.runtime.ordering_exec import OrderingExecStage
 from repro.protocols.runtime.spec import ProtocolSpec
 from repro.sim.core import Simulator
-from repro.sim.lanes import LanedSimulator, LanePlan
 from repro.sim.network import Network, NodeAddress
 from repro.sim.rng import RngRegistry
 from repro.topology.cluster import ClusterConfig
@@ -86,9 +84,6 @@ class GeoDeployment:
         cert_size: int = DEFAULT_CERT_SIZE,
         wan_backlog_cap: float = 0.12,
         cpu_backlog_cap: float = 0.08,
-        kernel: str = "classic",
-        lanes: Optional[int] = None,
-        workers: int = 1,
         traffic: Optional[Any] = None,
         control: Optional[Any] = None,
     ) -> None:
@@ -96,13 +91,6 @@ class GeoDeployment:
         ``max_batch_txns`` defaults to one batch-timeout's worth of
         arrivals (so a fast group cannot mask a sync-ordering stall by
         growing its batches without bound).
-
-        ``kernel`` selects the event core: ``"classic"`` (single heap
-        loop) or ``"laned"`` (per-group event lanes with conservative
-        WAN synchronization; byte-identical outputs, plus a
-        :meth:`lane_report`). ``lanes`` caps the group-lane count
-        (default: one lane per group); ``workers`` is the bookkept lane
-        to worker partition.
 
         ``traffic`` is an optional :class:`repro.traffic.TrafficSpec`
         (duck-typed: anything with ``process_for(gid, rng)`` and a
@@ -127,8 +115,6 @@ class GeoDeployment:
             raise ValueError(f"unknown execution mode {execution!r}")
         if observers not in ("leaders", "all"):
             raise ValueError("observers must be 'leaders' or 'all'")
-        if kernel not in ("classic", "laned"):
-            raise ValueError(f"unknown kernel {kernel!r}")
         self.cluster = cluster
         self.spec = spec
         self.workload = workload
@@ -168,13 +154,7 @@ class GeoDeployment:
         self.control_epoch = 0
 
         self.rng = RngRegistry(seed)
-        self.kernel = kernel
-        self.lane_plan: Optional[LanePlan] = None
-        if kernel == "laned":
-            self.lane_plan = LanePlan.from_cluster(cluster, lanes=lanes)
-            self.sim: Simulator = LanedSimulator(self.lane_plan, workers=workers)
-        else:
-            self.sim = Simulator()
+        self.sim = Simulator()
         self.network = Network(
             self.sim,
             rtt_matrix=cluster.rtt_matrix,
@@ -183,8 +163,6 @@ class GeoDeployment:
             lan_latency=cluster.lan_latency,
             rng=self.rng,
         )
-        if self.lane_plan is not None:
-            self.network.attach_lanes(self.lane_plan)
         self.keystore = KeyStore(seed=seed)
         self.n_groups = cluster.n_groups
         self.f_g = cluster.f_g
@@ -206,62 +184,59 @@ class GeoDeployment:
         self.nodes: Dict[NodeAddress, GeoNode] = {}
         self.groups: Dict[int, GroupRuntime] = {}
         for group_cfg in cluster.groups:
-            # Everything a group schedules during construction (PBFT
-            # timers, client arrivals, CPU queues) inherits its lane.
-            with self.lane_context_of(group_cfg.gid):
-                members: List[GeoNode] = []
-                for index in range(group_cfg.n_nodes):
-                    addr = NodeAddress.of(group_cfg.gid, index)
-                    node = GeoNode(
-                        self.sim,
-                        self.network,
-                        addr,
-                        self,
-                        wan_bandwidth=group_cfg.bandwidth_of(
-                            index, cluster.wan_bandwidth
-                        ),
-                    )
-                    node.cpu.rate = self.costs.cpu_cores
-                    self.nodes[addr] = node
-                    members.append(node)
-                gid = group_cfg.gid
-                if traffic is None:
-                    load = ClientLoad(
-                        workload,
-                        rate=self.offered_load[gid],
-                        rng=self.rng.stream(f"load.g{gid}"),
-                        queue_seconds=client_queue_seconds,
-                    )
-                else:
-                    # Dedicated streams per concern: arrival timing and
-                    # tenant attribution never perturb the workload's
-                    # own draw sequence (stream names are independent).
-                    # Specs may carry per-group tenant mixes (regional
-                    # asymmetry); the name universe is validated to match
-                    # the base mix so tenant indices stay aligned.
-                    tenants_for = getattr(traffic, "tenants_for", None)
-                    if tenants_for is not None:
-                        tenants = tenants_for(gid)
-                    else:
-                        tenants = traffic.tenants
-                    load = ClientLoad(
-                        workload,
-                        rate=self.offered_load[gid],
-                        rng=self.rng.stream(f"load.g{gid}"),
-                        queue_seconds=client_queue_seconds,
-                        process=traffic.process_for(
-                            gid, self.rng.stream(f"traffic.arrivals.g{gid}")
-                        ),
-                        tenants=tenants,
-                        tenant_rng=(
-                            self.rng.stream(f"traffic.tenants.g{gid}")
-                            if tenants is not None
-                            else None
-                        ),
-                    )
-                self.groups[group_cfg.gid] = GroupRuntime(
-                    self, group_cfg.gid, members, load
+            members: List[GeoNode] = []
+            for index in range(group_cfg.n_nodes):
+                addr = NodeAddress.of(group_cfg.gid, index)
+                node = GeoNode(
+                    self.sim,
+                    self.network,
+                    addr,
+                    self,
+                    wan_bandwidth=group_cfg.bandwidth_of(
+                        index, cluster.wan_bandwidth
+                    ),
                 )
+                node.cpu.rate = self.costs.cpu_cores
+                self.nodes[addr] = node
+                members.append(node)
+            gid = group_cfg.gid
+            if traffic is None:
+                load = ClientLoad(
+                    workload,
+                    rate=self.offered_load[gid],
+                    rng=self.rng.stream(f"load.g{gid}"),
+                    queue_seconds=client_queue_seconds,
+                )
+            else:
+                # Dedicated streams per concern: arrival timing and
+                # tenant attribution never perturb the workload's
+                # own draw sequence (stream names are independent).
+                # Specs may carry per-group tenant mixes (regional
+                # asymmetry); the name universe is validated to match
+                # the base mix so tenant indices stay aligned.
+                tenants_for = getattr(traffic, "tenants_for", None)
+                if tenants_for is not None:
+                    tenants = tenants_for(gid)
+                else:
+                    tenants = traffic.tenants
+                load = ClientLoad(
+                    workload,
+                    rate=self.offered_load[gid],
+                    rng=self.rng.stream(f"load.g{gid}"),
+                    queue_seconds=client_queue_seconds,
+                    process=traffic.process_for(
+                        gid, self.rng.stream(f"traffic.arrivals.g{gid}")
+                    ),
+                    tenants=tenants,
+                    tenant_rng=(
+                        self.rng.stream(f"traffic.tenants.g{gid}")
+                        if tenants is not None
+                        else None
+                    ),
+                )
+            self.groups[group_cfg.gid] = GroupRuntime(
+                self, group_cfg.gid, members, load
+            )
 
         # Wire global message handlers (all nodes; reps act on them).
         for node in self.nodes.values():
@@ -280,10 +255,6 @@ class GeoDeployment:
                 spec, members_by_gid, deliver, get_entry,
                 self.costs, cert_size, coding,
             )
-        if self.lane_plan is not None and hasattr(
-            self.transport, "attach_lane_plan"
-        ):
-            self.transport.attach_lane_plan(self.lane_plan)
         self.dissemination = DisseminationStage(self, self.transport)
 
         # Observers: ordering + execution + measurement.
@@ -314,13 +285,12 @@ class GeoDeployment:
         self.batch_timers: Dict[int, Any] = {}
         for gid, group in self.groups.items():
             offset = (gid + 1) * 1e-4  # desynchronise group timers slightly
-            with self.lane_context_of(gid):
-                self.batch_timers[gid] = self.sim.set_timer(
-                    batch_timeout + offset,
-                    group.on_batch_timer,
-                    interval=batch_timeout,
-                )
-                group.global_phase.install_timers(offset)
+            self.batch_timers[gid] = self.sim.set_timer(
+                batch_timeout + offset,
+                group.on_batch_timer,
+                interval=batch_timeout,
+            )
+            group.global_phase.install_timers(offset)
 
         # Closed-loop adaptive control (imported lazily: with no
         # controller requested the runtime never touches repro.control
@@ -353,18 +323,6 @@ class GeoDeployment:
 
     def other_groups(self, gid: int) -> List[int]:
         return [g for g in range(self.n_groups) if g != gid]
-
-    def lane_context_of(self, gid: int):
-        """Lane attribution scope for group ``gid`` (no-op when classic)."""
-        if self.lane_plan is None:
-            return nullcontext()
-        return self.sim.lane_context(self.lane_plan.lane_of_group(gid))
-
-    def lane_report(self) -> Optional[Dict[str, Any]]:
-        """Per-lane event accounting (``None`` on the classic kernel)."""
-        if self.lane_plan is None:
-            return None
-        return self.sim.lane_report()
 
     def observer_of(self, gid: int) -> GeoNode:
         return self.groups[gid].members[0]

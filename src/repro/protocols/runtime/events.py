@@ -195,7 +195,7 @@ class ControlDecision:
     Published by :class:`repro.control.ControlStage` every time a policy
     changes a knob — a seeded, replayable event: the decision is a pure
     function of the sampled telemetry window, so the same (seed,
-    schedule) produces the same sequence on any kernel. ``epoch`` is the
+    schedule) produces the same sequence on every run. ``epoch`` is the
     deployment-wide control epoch *after* the actuation (it piggybacks on
     the membership-epoch invalidation machinery). ``trigger``/``value``
     name the telemetry signal that tripped the policy and its sampled

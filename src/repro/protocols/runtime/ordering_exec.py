@@ -38,11 +38,6 @@ class SequenceOrderer:
             self.next_slot += 1
 
 
-#: Backwards-compatible alias (the orderer was module-private in the
-#: pre-runtime ``repro.protocols.base``).
-_SequenceOrderer = SequenceOrderer
-
-
 class OrderingExecStage:
     """Deployment-wide observer setup and execution measurement."""
 

@@ -118,12 +118,6 @@ class ReconfigStage:
     # ------------------------------------------------------------------
 
     def _join(self, gid: int) -> None:
-        # Provisioning runs under the group's lane so the joiner's whole
-        # event tree (catch-up transfer, promotion) is attributed to it.
-        with self.deployment.lane_context_of(gid):
-            self._join_in_lane(gid)
-
-    def _join_in_lane(self, gid: int) -> None:
         deployment = self.deployment
         group = deployment.groups[gid]
         live = [n for n in group.members if not n.crashed]

@@ -15,13 +15,6 @@ loss, and whole-datacenter failures.
 
 from repro.sim.core import SimulationBudgetExceeded, Simulator, Timer
 from repro.sim.events import Event, EventQueue
-from repro.sim.lanes import (
-    WAN_LANE,
-    EngineResult,
-    LanedEngine,
-    LanedSimulator,
-    LanePlan,
-)
 from repro.sim.monitor import Counter, Histogram, StatMonitor, TimeSeries
 from repro.sim.network import (
     LinkQuality,
@@ -35,13 +28,9 @@ from repro.sim.rng import RngRegistry
 
 __all__ = [
     "Counter",
-    "EngineResult",
     "Event",
     "EventQueue",
     "Histogram",
-    "LanePlan",
-    "LanedEngine",
-    "LanedSimulator",
     "LinkQuality",
     "Message",
     "Network",
@@ -54,5 +43,4 @@ __all__ = [
     "StatMonitor",
     "TimeSeries",
     "Timer",
-    "WAN_LANE",
 ]

@@ -16,10 +16,9 @@ from repro.sim.events import Event, EventQueue
 class SimulationBudgetExceeded(RuntimeError):
     """An event budget ran out while live events were still pending.
 
-    Raised by :meth:`Simulator.run_until_idle` (and the laned kernel's
-    equivalent drain paths) instead of silently returning: a drained
-    budget almost always means a runaway timer or a livelocked protocol,
-    and a silent partial run masks it as "idle".
+    Raised by :meth:`Simulator.run_until_idle` instead of silently
+    returning: a drained budget almost always means a runaway timer or a
+    livelocked protocol, and a silent partial run masks it as "idle".
     """
 
     def __init__(
@@ -163,10 +162,9 @@ class Simulator:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> Event:
         """Fire-and-forget :meth:`schedule`: the event is recycled after it
-        runs, so callers must not retain (or cancel) a handle (the return
-        value exists only for lane tagging by subclasses). The hot
-        delivery/CPU paths use this to stop allocating an Event per
-        message."""
+        runs, so callers must not retain (or cancel) the returned handle.
+        The hot delivery/CPU paths use this to stop allocating an Event
+        per message."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         return self._queue.push_volatile(self._now + delay, callback, args)
@@ -213,17 +211,12 @@ class Simulator:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        exclusive: bool = False,
     ) -> float:
         """Process events until the queue drains, ``until`` passes, or stop().
 
         Returns the simulated time at which the run ended. Time advances to
         ``until`` even if the queue drains earlier, so rate computations
         (txns / elapsed) stay well-defined.
-
-        With ``exclusive=True`` only events strictly before ``until`` run
-        (the laned kernel's horizon rounds stop *before* the horizon so
-        inter-lane messages arriving exactly at it merge first).
 
         This loop is the simulator's hottest code: each iteration does one
         single-pass ``pop_until`` (no separate peek) and invokes the event
@@ -233,12 +226,10 @@ class Simulator:
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
-        if exclusive and until is None:
-            raise ValueError("exclusive runs need an explicit until bound")
         self._running = True
         self._stopped = False
         processed_this_run = 0
-        pop_until = self._queue.pop_before if exclusive else self._queue.pop_until
+        pop_until = self._queue.pop_until
         recycle = self._queue.recycle
         try:
             while not self._stopped:

@@ -28,7 +28,7 @@ class Event:
     when popped.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "lane", "volatile")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "volatile")
 
     def __init__(
         self,
@@ -42,9 +42,6 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        #: Owning event lane (``repro.sim.lanes``); None under the classic
-        #: kernel. Repushed timer events keep their lane.
-        self.lane: Any = None
         #: Fire-and-forget events (no caller ever holds the handle, so no
         #: one can cancel or re-arm them) are returned to the queue's
         #: freelist right after their callback runs. Scheduled via
@@ -131,7 +128,6 @@ class EventQueue:
             event.callback = callback
             event.args = args
             event.cancelled = False
-            event.lane = None
         else:
             event = Event(time, seq, callback, args)
             event.volatile = True
@@ -209,24 +205,6 @@ class EventQueue:
                 heappop(heap)
                 continue
             if until is not None and head[0] > until:
-                return None
-            return heappop(heap)[2]
-        return None
-
-    def pop_before(self, until: float) -> Optional[Event]:
-        """Like :meth:`pop_until` with an *exclusive* bound (``time < until``).
-
-        The laned kernel's horizon rounds use this: an event scheduled
-        exactly at the round horizon must wait for the next round, where
-        inter-lane messages arriving at the horizon have been merged.
-        """
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[2].cancelled:
-                heappop(heap)
-                continue
-            if head[0] >= until:
                 return None
             return heappop(heap)[2]
         return None

@@ -199,23 +199,6 @@ class StatMonitor:
             self.series[name] = ts
         return ts
 
-    def merge_from(self, other: "StatMonitor") -> None:
-        """Fold another monitor's measurements into this one.
-
-        Used to combine per-lane monitors after a sharded-kernel run:
-        counters add, histogram samples and series points concatenate.
-        Merging lanes in ascending lane order keeps the result
-        deterministic regardless of how lanes were spread over workers.
-        """
-        for name, counter in other.counters.items():
-            self.counter(name).value += counter.value
-        for name, hist in other.histograms.items():
-            mine = self.histogram(name)
-            mine.samples.extend(hist.samples)
-            mine._sorted = False
-        for name, series in other.series.items():
-            self.timeseries(name).points.extend(series.points)
-
     def snapshot(self) -> Dict[str, float]:
         """Flat dict of counter values and histogram means, for reports."""
         out: Dict[str, float] = {}

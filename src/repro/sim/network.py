@@ -264,9 +264,6 @@ class Network:
         #: explicit reconfiguration notice); lets callers cache routing
         #: derived from membership and invalidate precisely.
         self.membership_epoch = 0
-        #: Laned-kernel routing: group -> lane, set by attach_lanes().
-        self._lane_of_group: Optional[List[int]] = None
-        self._post: Optional[Callable[..., Any]] = None
         #: Memoized one-way latencies by ordered (src_group, dst_group).
         self._latency_cache: Dict[Tuple[int, int], float] = {}
         self._lan_up: Dict[NodeAddress, ResourceQueue] = {}
@@ -375,32 +372,6 @@ class Network:
             ]
         return receivers
 
-    # ------------------------------------------------------------------
-    # Laned-kernel routing
-    # ------------------------------------------------------------------
-
-    def attach_lanes(self, plan) -> None:
-        """Route cross-group deliveries into destination lanes.
-
-        With a :class:`repro.sim.lanes.LanePlan` attached (and the
-        simulator being a :class:`~repro.sim.lanes.LanedSimulator`),
-        every WAN delivery event is posted to the lane owning the
-        destination group instead of inheriting the sender's lane. This
-        is the transport seam the conservative kernel synchronizes on.
-        """
-        post = getattr(self.sim, "post", None)
-        if post is None:
-            raise TypeError(
-                "attach_lanes needs a lane-aware simulator (LanedSimulator)"
-            )
-        self._lane_of_group = [
-            plan.lane_of_group(g) for g in range(plan.n_groups)
-        ]
-        # Delivery events are fire-and-forget (crash handling filters at
-        # delivery time, nothing cancels them), so they ride the volatile
-        # freelist when the simulator provides it.
-        self._post = getattr(self.sim, "post_volatile", None) or post
-
     def _require_registered(self, addr: NodeAddress) -> None:
         if addr not in self._handlers:
             raise KeyError(f"node {addr} is not registered")
@@ -503,7 +474,6 @@ class Network:
         msg = Message(src, dst, payload, size_bytes, msg_id, now)
         bits = size_bytes * 8
 
-        dst_lane = None
         if src.group == dst.group:
             quality = self.lan_quality
             lane_name = "lan_up"
@@ -527,8 +497,6 @@ class Network:
                 _, deliver_at = self._wan_down[dst].acquire(arrival, bits)
             else:
                 deliver_at = arrival
-            if self._lane_of_group is not None:
-                dst_lane = self._lane_of_group[dst.group]
 
         dropped = False
         if quality.loss_probability > 0 and self._rng.random() < quality.loss_probability:
@@ -538,10 +506,7 @@ class Network:
             deliver_at += self._rng.random() * quality.jitter
 
         if not dropped:
-            if dst_lane is not None:
-                self._post(dst_lane, deliver_at, self._deliver, msg)
-            else:
-                self.sim.schedule_at_volatile(deliver_at, self._deliver, msg)
+            self.sim.schedule_at_volatile(deliver_at, self._deliver, msg)
         if self.transmit_hook is not None:
             self.transmit_hook(
                 msg, lane_name, tx_start, tx_done, None if dropped else deliver_at
@@ -704,25 +669,13 @@ class Network:
         self.wan_bytes_total += sent_bytes
         latency_of = self.one_way_latency
         deliver = self._deliver
-        lane_of = self._lane_of_group
-        if lane_of is not None:
-            post = self._post
-            for msg, tx_done in zip(live, finishes):
-                dst_group = msg.dst.group
-                post(
-                    lane_of[dst_group],
-                    tx_done + latency_of(src_group, dst_group),
-                    deliver,
-                    msg,
-                )
-        else:
-            schedule_at = self.sim.schedule_at_volatile
-            for msg, tx_done in zip(live, finishes):
-                schedule_at(
-                    tx_done + latency_of(src_group, msg.dst.group),
-                    deliver,
-                    msg,
-                )
+        schedule_at = self.sim.schedule_at_volatile
+        for msg, tx_done in zip(live, finishes):
+            schedule_at(
+                tx_done + latency_of(src_group, msg.dst.group),
+                deliver,
+                msg,
+            )
         return len(dsts)
 
     def _deliver(self, msg: Message) -> None:

@@ -147,11 +147,10 @@ def worldwide_scaled_cluster(
 ) -> ClusterConfig:
     """Worldwide-scale clusters beyond the paper's 3 regions (up to 64).
 
-    Used by the laned-kernel scaling sweep: a 32-group x 32-node instance
-    is a 1024-node planet-scale deployment. RTTs interpolate within the
-    worldwide range (145-206 ms), deterministically per pair, and the
-    wide latency floor gives the laned kernel a large conservative
-    lookahead (>= 72.5 ms one-way).
+    Used by the synthetic scale point (``repro scale``): a 32-group x
+    32-node instance is a 1024-node planet-scale deployment. RTTs
+    interpolate within the worldwide range (145-206 ms),
+    deterministically per pair.
     """
     if not 2 <= n_groups <= 64:
         raise ValueError("supported group counts: 2..64")

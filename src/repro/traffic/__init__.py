@@ -14,8 +14,7 @@ Composable, seeded building blocks for realistic offered load:
 
 Everything is deterministic from ``(seed, scenario)``: arrival draws,
 tenant attribution, and hot-set rotation come from named rng streams or
-pure functions of simulated time, so artifacts byte-reproduce on both
-the classic and laned kernels.
+pure functions of simulated time, so artifacts byte-reproduce.
 """
 
 from repro.traffic.arrivals import (

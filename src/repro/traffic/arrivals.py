@@ -6,7 +6,7 @@ non-decreasing arrival times that the client load stage
 simulator ticks per arrival, the process is only consulted when a batch
 forms. Every random draw comes from the ``random.Random`` stream the
 process was constructed with, so ``(seed, scenario)`` pins the full
-arrival sequence bit-for-bit on any kernel.
+arrival sequence bit-for-bit.
 
 Three process families cover the traffic regimes production BFT
 deployments see:

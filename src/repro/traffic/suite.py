@@ -6,16 +6,15 @@ percentiles (p50/p99/p999, per tenant where applicable), and a
 goodput-vs-offered-load curve, and writes one deterministic JSON
 artifact per scenario under ``benchmarks/``.
 
-Artifacts are deliberately kernel-agnostic (no kernel/worker fields and
-no wall-clock stamps): the same ``(seed, scenario)`` must produce
-byte-identical files on the classic and laned kernels — CI diffs them.
+Artifacts carry no wall-clock stamps: the same ``(seed, scenario)`` must
+produce byte-identical files on every run — CI runs each twice and diffs.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.traffic.scenarios import (
     N_GROUPS,
@@ -24,8 +23,7 @@ from repro.traffic.scenarios import (
     ScenarioRun,
 )
 
-#: Decimal places for floats in artifacts (keeps files readable; the
-#: underlying values are already bit-identical across kernels).
+#: Decimal places for floats in artifacts (keeps files readable).
 _DIGITS = 6
 
 
@@ -43,9 +41,6 @@ def _rounded(value):
 def run_one(
     run: ScenarioRun,
     seed: int = 0,
-    kernel: str = "classic",
-    lanes: Optional[int] = None,
-    workers: int = 1,
 ) -> Dict:
     """Execute one scenario run and return its artifact record."""
     from repro.protocols import GeoDeployment, protocol_by_name
@@ -59,9 +54,6 @@ def run_one(
         make_workload(run.workload, **run.workload_kwargs),
         offered_load={gid: run.provisioned for gid in range(N_GROUPS)},
         seed=seed,
-        kernel=kernel,
-        lanes=lanes,
-        workers=workers,
         traffic=traffic,
     )
     metrics = deployment.run(duration=run.duration, warmup=run.warmup)
@@ -99,9 +91,6 @@ def run_one(
 def run_scenario(
     name: str,
     seed: int = 0,
-    kernel: str = "classic",
-    lanes: Optional[int] = None,
-    workers: int = 1,
     quick: bool = False,
     log=None,
 ) -> Dict:
@@ -115,9 +104,7 @@ def run_scenario(
                 f"{run.traffic.name} traffic, provisioned "
                 f"{run.provisioned:.0f} tps/group, {run.duration}s"
             )
-        records.append(
-            run_one(run, seed=seed, kernel=kernel, lanes=lanes, workers=workers)
-        )
+        records.append(run_one(run, seed=seed))
     curve = [
         {
             "label": r["label"],
@@ -153,9 +140,6 @@ def write_artifact(doc: Dict, out_dir) -> Path:
 def run_suite(
     names=None,
     seed: int = 0,
-    kernel: str = "classic",
-    lanes: Optional[int] = None,
-    workers: int = 1,
     quick: bool = False,
     out_dir=None,
     log=None,
@@ -167,16 +151,8 @@ def run_suite(
     docs = []
     for name in names:
         if log is not None:
-            log(f"scenario {name} (seed {seed}, kernel {kernel}):")
-        doc = run_scenario(
-            name,
-            seed=seed,
-            kernel=kernel,
-            lanes=lanes,
-            workers=workers,
-            quick=quick,
-            log=log,
-        )
+            log(f"scenario {name} (seed {seed}):")
+        doc = run_scenario(name, seed=seed, quick=quick, log=log)
         if out_dir is not None:
             path = write_artifact(doc, out_dir)
             if log is not None:

@@ -121,8 +121,8 @@ class TestParser:
             build_parser().parse_args([])
 
 
-class TestLanedKernelCli:
-    def test_run_with_laned_kernel(self, capsys, tmp_path):
+class TestRunMetricsOut:
+    def test_run_writes_metrics_json(self, tmp_path):
         out_path = tmp_path / "metrics.json"
         code = main(
             [
@@ -132,56 +132,34 @@ class TestLanedKernelCli:
                 "--load", "1500",
                 "--duration", "1.0",
                 "--warmup", "0.25",
-                "--kernel", "laned",
-                "--workers", "2",
                 "--metrics-out", str(out_path),
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "lanes" in out
         doc = json.loads(out_path.read_text())
         assert doc["committed"] > 0
         assert doc["events"] > 0
         assert "throughput_tps" in doc["summary"]
-        # The metrics document must be kernel-agnostic: it is what the CI
-        # scale-smoke job byte-diffs between classic and laned runs.
-        assert "kernel" not in doc
-        assert "workers" not in doc
-
-    def test_kernel_defaults(self):
-        args = build_parser().parse_args(["run"])
-        assert args.kernel == "classic"
-        assert args.lanes is None
-        assert args.workers == 1
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--kernel", "quantum"])
 
 
 class TestScaleCommand:
-    def test_point_classic_vs_laned_byte_identical(self, capsys, tmp_path):
-        paths = {}
-        for kernel in ("classic", "laned"):
-            out = tmp_path / f"{kernel}.json"
+    def test_point_writes_deterministic_record(self, tmp_path):
+        outs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
             code = main(
                 [
                     "scale",
                     "--groups", "4",
                     "--nodes", "4",
                     "--duration", "0.2",
-                    "--kernel", kernel,
-                    "--lanes", "2",
                     "--out", str(out),
                 ]
             )
             assert code == 0
-            paths[kernel] = out
-        classic = paths["classic"].read_bytes()
-        laned = paths["laned"].read_bytes()
-        assert classic == laned
-        doc = json.loads(classic)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        doc = json.loads(outs[0])
         assert doc["schema"] == "repro-scale/1"
         assert doc["events"] > 0
         assert doc["merged_digest"]
@@ -190,6 +168,3 @@ class TestScaleCommand:
         args = build_parser().parse_args(["scale"])
         assert args.groups == 8
         assert args.nodes == 7
-        assert args.kernel == "classic"
-        assert args.lanes == 1
-        assert not args.sweep

@@ -639,7 +639,7 @@ class TestChunkExchangeScaling:
     32-vs-8 ratio below about 9."""
 
     @staticmethod
-    def _run(nodes_per_group, kernel="classic"):
+    def _run(nodes_per_group):
         from repro.protocols import GeoDeployment, protocol_by_name
         from repro.topology import scaled_cluster
         from repro.workloads import make_workload
@@ -650,7 +650,6 @@ class TestChunkExchangeScaling:
             make_workload("ycsb-a"),
             offered_load=2000.0,
             seed=3,
-            kernel=kernel,
         )
         metrics = deployment.run(duration=0.4, warmup=0.1)
         assert metrics.committed > 0
@@ -663,10 +662,3 @@ class TestChunkExchangeScaling:
             per_entry[n] = deployment.sim.events_processed / len(deployment.entries)
         assert per_entry[8] < per_entry[16] < per_entry[32]
         assert per_entry[32] <= 6 * per_entry[8]
-
-    def test_laned_kernel_identical_at_16_nodes(self):
-        classic, classic_metrics = self._run(16)
-        laned, laned_metrics = self._run(16, kernel="laned")
-        assert laned.sim.events_processed == classic.sim.events_processed
-        assert laned_metrics.summary() == classic_metrics.summary()
-        assert sum(laned.sim.events_by_lane) == laned.sim.events_processed

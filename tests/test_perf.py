@@ -103,53 +103,17 @@ def test_cli_perf_no_end_to_end(tmp_path, capsys):
 
 
 def test_sim_section_in_report():
-    report = run_perf(TINY, end_to_end=False, lanes=2)
+    report = run_perf(TINY, end_to_end=False)
     sim = report["sim"]
-    assert sim["digest_match"] is True
+    assert sim.keys() == {"groups", "duration", "events", "events_per_sec"}
     assert sim["events"] > 0
     assert sim["events_per_sec"] > 0
-    assert sim["laned_events_per_sec"] > 0
-    assert sim["lane_speedup"] > 0
     assert report["normalized_sim_events"] > 0
-
-
-def test_sim_digest_mismatch_fails_gate():
-    report = {
-        "kernels": {},
-        "sim": {"digest_match": False, "cores": 1, "lanes": 2},
-    }
-    verdict = compare_to_baseline(report, {"kernels": {}})
-    assert not verdict["ok"]
-    assert "diverged" in verdict["reason"]
-    assert verdict["sim_digest_match"] is False
-
-
-def test_lane_speedup_gated_only_with_cores():
-    slow = {
-        "kernels": {},
-        "sim": {
-            "digest_match": True,
-            "cores": 8,
-            "lanes": 2,
-            "lane_speedup": 1.1,
-        },
-    }
-    verdict = compare_to_baseline(slow, {"kernels": {}})
-    assert verdict["lane_speedup_gated"]
-    assert not verdict["ok"]
-    assert "2x floor" in verdict["reason"]
-
-    # The same number on a small machine is informational, not a failure.
-    slow_small = dict(slow, sim=dict(slow["sim"], cores=2))
-    verdict = compare_to_baseline(slow_small, {"kernels": {}})
-    assert not verdict["lane_speedup_gated"]
-    assert verdict["ok"]
 
 
 def test_sim_events_rate_regression_fails_gate():
     report = {
         "kernels": {},
-        "sim": {"digest_match": True, "cores": 1, "lanes": 1},
         "normalized_sim_events": 1.0,
     }
     baseline = {"kernels": {}, "normalized_sim_events": 2.0}

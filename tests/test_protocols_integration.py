@@ -47,7 +47,7 @@ class TestProtocolSpec:
             protocol_by_name("pbft9000")
 
     def test_invalid_combinations_rejected(self):
-        from repro.protocols.base import ProtocolSpec
+        from repro.protocols import ProtocolSpec
 
         with pytest.raises(ValueError):
             ProtocolSpec("x", "teleport", "raft", "round")

@@ -1,4 +1,4 @@
-"""Tests for the protocol registry and the ``protocols.base`` compat shim."""
+"""Tests for the protocol registry."""
 
 import dataclasses
 
@@ -75,22 +75,7 @@ class TestFeatureTable:
             assert protocol_by_name(name).name in table
 
 
-class TestBaseCompatShim:
-    def test_shim_reexports_public_api(self):
-        from repro.protocols import base
-
-        for name in ("ProtocolSpec", "GeoDeployment", "GeoNode", "GroupRuntime"):
-            assert hasattr(base, name), name
-            assert name in base.__all__
-
-    def test_shim_classes_are_the_runtime_classes(self):
-        from repro.protocols import base, runtime
-
-        assert base.GeoDeployment is runtime.GeoDeployment
-        assert base.ProtocolSpec is runtime.ProtocolSpec
-        assert base.ClientLoad is runtime.ClientLoad
-        assert base._SequenceOrderer is runtime.SequenceOrderer
-
+class TestProtocolSpec:
     def test_spec_is_frozen_with_stage_slot(self):
         spec = protocol_by_name("massbft")
         assert spec.stages is None

@@ -6,7 +6,7 @@ import pytest
 from repro.costs import CostModel
 from repro.core.entry import EntryId
 from repro.protocols import GeoDeployment, massbft, baseline, steward
-from repro.protocols.base import ClientLoad, _SequenceOrderer
+from repro.protocols.runtime import ClientLoad, SequenceOrderer
 from repro.sim.rng import RngRegistry
 from repro.workloads import make_workload
 from tests.conftest import tiny_cluster
@@ -55,7 +55,7 @@ class TestClientLoad:
 class TestSequenceOrderer:
     def test_in_order_execution(self):
         out = []
-        orderer = _SequenceOrderer(out.append)
+        orderer = SequenceOrderer(out.append)
         orderer.deliver(1, EntryId(1, 1))
         assert out == []
         orderer.deliver(0, EntryId(0, 1))
@@ -63,7 +63,7 @@ class TestSequenceOrderer:
 
     def test_gap_blocks(self):
         out = []
-        orderer = _SequenceOrderer(out.append)
+        orderer = SequenceOrderer(out.append)
         orderer.deliver(2, EntryId(0, 2))
         orderer.deliver(0, EntryId(0, 1))
         assert len(out) == 1  # slot 1 still missing

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.core import Simulator
+from repro.sim.core import SimulationBudgetExceeded, Simulator
 from repro.sim.events import EventQueue
 
 
@@ -250,6 +250,41 @@ class TestSimulator:
         sim.schedule(0.5, inner)
         sim.run(until=1.0)
         assert len(error) == 1
+
+
+class TestBudgetError:
+    def test_run_until_idle_raises_on_exhausted_budget(self):
+        sim = Simulator()
+
+        def loop():
+            sim.schedule(0.001, loop)
+
+        sim.schedule(0.0, loop)
+        with pytest.raises(SimulationBudgetExceeded) as err:
+            sim.run_until_idle(max_events=50)
+        assert err.value.max_events == 50
+        assert err.value.pending_time > 0
+        assert "runaway" in str(err.value)
+
+    def test_clean_drain_does_not_raise(self):
+        sim = Simulator()
+        hits = []
+        for i in range(10):
+            sim.schedule(0.01 * i, hits.append, i)
+        end = sim.run_until_idle(max_events=100)
+        assert len(hits) == 10
+        assert end == pytest.approx(0.09)
+
+    def test_explicit_stop_does_not_raise(self):
+        sim = Simulator()
+
+        def loop():
+            if sim.events_processed >= 5:
+                sim.stop()
+            sim.schedule(0.001, loop)
+
+        sim.schedule(0.0, loop)
+        sim.run_until_idle(max_events=1000)  # stop() is not budget abuse
 
 
 class TestTimer:

@@ -1,7 +1,7 @@
 """Integration tests: traffic scenarios end to end on deployments.
 
 Covers the acceptance properties of the traffic subsystem: artifact
-determinism across kernels and repeat runs, offered/admitted/committed
+determinism across repeat runs, offered/admitted/committed
 accounting through the metrics pipeline, per-tenant SLO rows, and the
 checker's saturation regime.
 """
@@ -37,12 +37,6 @@ def tiny_run(**overrides):
 
 
 class TestSuiteDeterminism:
-    def test_classic_and_laned_artifacts_are_identical(self):
-        run = tiny_run()
-        classic = run_one(run, seed=3, kernel="classic")
-        laned = run_one(run, seed=3, kernel="laned", workers=2)
-        assert classic == laned
-
     def test_repeat_runs_are_identical(self):
         assert run_one(tiny_run(), seed=5) == run_one(tiny_run(), seed=5)
 
