@@ -156,17 +156,7 @@ class ExperimentRunner:
             g: max(min_rate, probe.metrics.committed_by_group[g] / measured * latency_factor)
             for g in range(len(probe.metrics.committed_by_group))
         }
-        latency_config = dataclasses.replace(
-            config,
-            overrides={**config.overrides, "offered_load": per_group},
-        )
-        # GeoDeployment takes offered_load directly; move it out of
-        # overrides into the constructor argument.
-        latency_config.overrides.pop("offered_load", None)
-        latency_config = dataclasses.replace(
-            latency_config, offered_load=per_group
-        )
-        relaxed = self.run(latency_config)
+        relaxed = self.run(dataclasses.replace(config, offered_load=per_group))
         combined = RunResult(
             config=config,
             throughput_tps=probe.throughput_tps,

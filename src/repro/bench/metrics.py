@@ -273,12 +273,6 @@ class RunMetrics:
         return self.latency.p999
 
     @property
-    def goodput(self) -> float:
-        """Committed (SLO-eligible) transactions per second — what an
-        overload benchmark plots against offered load."""
-        return self.throughput
-
-    @property
     def abort_rate(self) -> float:
         attempts = self.committed + self.aborted_attempts
         if not attempts:

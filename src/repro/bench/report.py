@@ -1,12 +1,39 @@
-"""Plain-text report formatting for benchmark output.
+"""Plain-text report formatting and the JSON artifact writer.
 
 Benchmarks print the same rows/series the paper's figures plot; these
 helpers keep the formatting consistent and terminal-friendly.
+:func:`rounded` and :func:`write_json` are the one way any command
+writes a deterministic (byte-diffable) JSON artifact.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Any, Iterable, List, Sequence
+
+#: Decimal places for floats in artifacts (keeps files readable).
+_DIGITS = 6
+
+
+def rounded(doc):
+    """Recursively round floats for artifact output."""
+    if isinstance(doc, float):
+        return round(doc, _DIGITS)
+    if isinstance(doc, dict):
+        return {k: rounded(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [rounded(v) for v in doc]
+    return doc
+
+
+def write_json(path, doc) -> Path:
+    """Write ``doc`` as deterministic JSON (sorted keys, two-space indent,
+    trailing newline), creating the parent directory if needed."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _fmt(value: Any) -> str:

@@ -24,6 +24,7 @@ from repro.bench.report import (
     format_table,
     format_tenant_table,
     format_traffic_accounting,
+    write_json,
 )
 from repro.core.transfer_plan import generate_transfer_plan
 from repro.obs.presets import PRESETS as TRACE_PRESETS
@@ -185,44 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. benchmarks/results.json)",
     )
 
-    perf = sub.add_parser(
+    sub.add_parser(
         "perf",
-        help="time the hot-path kernels and one end-to-end point; "
-        "regression-check against a committed baseline",
-    )
-    perf.add_argument(
-        "--quick", action="store_true", help="CI smoke preset (seconds, not minutes)"
-    )
-    perf.add_argument(
-        "--output", default="BENCH_perf.json", help="report file to write"
-    )
-    perf.add_argument(
-        "--baseline",
-        default="benchmarks/perf_baseline.json",
-        help="baseline report to compare against",
-    )
-    perf.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="overwrite the baseline with this run instead of comparing",
-    )
-    perf.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed fractional end-to-end slowdown before failing "
-        "(default 0.30)",
-    )
-    perf.add_argument(
-        "--no-end-to-end",
-        action="store_true",
-        help="kernels only (skips the deployment run and the gate)",
-    )
-    perf.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile the end-to-end point and embed the top cumulative "
-        "functions in the report",
+        help="wall-clock overhead budgets of an attached tracer and "
+        "controller on the fig08 point (speed itself: python3 -m perfbench)",
     )
 
     scale = sub.add_parser(
@@ -395,16 +362,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         for phase, seconds in sorted(metrics.phase_durations().items()):
             print(f"    {phase:<20} {seconds * 1000:7.2f} ms")
     if args.metrics_out is not None:
-        import json
-
         record = {
             "committed": metrics.committed,
             "events": deployment.sim.events_processed,
             "summary": metrics.summary(),
         }
-        Path(args.metrics_out).write_text(
-            json.dumps(record, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(args.metrics_out, record)
         print(f"  wrote {args.metrics_out}")
     gate_table = format_queue_gating(metrics)
     if gate_table:
@@ -530,7 +493,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             except json.JSONDecodeError:
                 data = {}
         data["reconfig_recovery"] = [r.to_jsonable() for r in results]
-        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        write_json(path, data)
         print(f"  recorded under 'reconfig_recovery' in {path}")
     if failed:
         for result in failed:
@@ -545,81 +508,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_perf(args: argparse.Namespace) -> int:
     # Imported lazily: the harness pulls in the whole runtime and is only
     # needed by this subcommand.
-    import json
+    from repro.perf.harness import run_perf
 
-    from repro.perf import (
-        BenchConfig,
-        compare_to_baseline,
-        run_perf,
-        write_report,
-    )
-    from repro.perf.harness import DEFAULT_TOLERANCE
-
-    config = BenchConfig.quick_preset() if args.quick else BenchConfig()
-    report = run_perf(
-        config,
-        log=print,
-        end_to_end=not args.no_end_to_end,
-        profile=args.profile,
-    )
-    output = Path(args.output)
-    write_report(report, output)
-    print(f"wrote {output}")
-
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        write_report(report, baseline_path)
-        print(f"updated baseline {baseline_path}")
-        return 0
-    if args.no_end_to_end:
-        return 0
-    overhead = report.get("trace_overhead", {})
-    if overhead and not overhead.get("ok", True):
-        print(
-            f"trace overhead gate FAILED: {overhead['ratio']:+.1%} "
-            f"(budget +{overhead['tolerance']:.0%}, committed match: "
-            f"{overhead['committed_match']})"
-        )
-        return 1
-    control = report.get("control_overhead", {})
-    if control and not control.get("ok", True):
-        print(
-            f"control overhead gate FAILED: {control['ratio']:+.1%} "
-            f"(budget +{control['tolerance']:.0%})"
-        )
-        return 1
-    if not baseline_path.exists():
-        print(f"no baseline at {baseline_path}; run with --update-baseline")
-        return 0
-    baseline = json.loads(baseline_path.read_text())
-    tolerance = (
-        args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    )
-    verdict = compare_to_baseline(report, baseline, tolerance)
-    ratio = verdict.get("end_to_end_ratio")
-    if ratio is not None:
-        print(
-            f"end-to-end vs baseline: {ratio:.2f}x (normalized; "
-            f"floor {1.0 - tolerance:.2f}x) -> "
-            f"{'ok' if verdict['ok'] else 'REGRESSION'}"
-        )
-    else:
-        print(f"baseline comparison skipped: {verdict['reason']}")
-    sim_ratio = verdict.get("sim_events_ratio")
-    if sim_ratio is not None:
-        print(
-            f"sim events/s vs baseline: {sim_ratio:.2f}x (normalized; "
-            f"floor {1.0 - tolerance:.2f}x)"
-        )
-    if not verdict["ok"]:
-        print(f"perf gate FAILED: {verdict['reason']}")
-    return 0 if verdict["ok"] else 1
+    return 0 if run_perf()["ok"] else 1
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
     # Imported lazily: the scale bench pulls in the sim + topology stack.
-    import json
-
     from repro.perf.scalebench import scale_point
 
     record = scale_point(
@@ -632,9 +527,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         f"merged digest {record['merged_digest']}"
     )
     if args.out is not None:
-        Path(args.out).write_text(
-            json.dumps(record, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(args.out, record)
         print(f"wrote {args.out}")
     return 0
 

@@ -1,28 +1,26 @@
-"""Consensus substrates: PBFT, Raft, and Paxos, implemented from scratch.
+"""Local (intra-group) consensus: PBFT.
 
-* :mod:`repro.consensus.pbft` — the local (intra-group) Byzantine consensus
-  used by MassBFT and every BFT baseline (Section II-A), including the
-  prepare-skipping accept variant, view changes and checkpoints.
-* :mod:`repro.consensus.raft` — a classic node-level Raft (leader election,
-  log replication, commitment); the global group-as-replica Raft engine in
-  :mod:`repro.core.global_raft` follows its rules.
-* :mod:`repro.consensus.paxos` — single-decree and multi-decree Paxos used
-  by the Steward baseline's global consensus.
+* :class:`~repro.consensus.pbft.ModeledPbftGroup` is what every
+  deployment runs: the aggregate model of one group's PBFT round (one
+  commit time per member, LAN bytes billed, quorum certificates).
+* :class:`~repro.consensus.pbft.PbftReplica` is the message-level
+  implementation (Section II-A: pre-prepare/prepare/commit, the
+  prepare-skipping accept variant, view changes, checkpoints). Only its
+  unit tests drive it today; ROADMAP item 3 wires it in as the
+  message-level local stage and validates the model against it.
+
+Global consensus does not live here: the group-as-replica Raft messages
+and per-instance state are :mod:`repro.core.global_raft`, run by
+:mod:`repro.protocols.runtime.global_phase`; Steward's serial slot is
+:mod:`repro.protocols.runtime.slots`.
 """
 
 from repro.consensus.messages import wire_size
 from repro.consensus.pbft import PbftConfig, PbftReplica, ModeledPbftGroup
-from repro.consensus.raft import RaftConfig, RaftNode
-from repro.consensus.paxos import PaxosAcceptor, PaxosProposer, MultiPaxos
 
 __all__ = [
     "ModeledPbftGroup",
-    "MultiPaxos",
-    "PaxosAcceptor",
-    "PaxosProposer",
     "PbftConfig",
     "PbftReplica",
-    "RaftConfig",
-    "RaftNode",
     "wire_size",
 ]

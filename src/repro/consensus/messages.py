@@ -9,7 +9,7 @@ follow the usual envelope arithmetic: a small fixed header plus digests
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from repro.crypto.hashing import DIGEST_SIZE
 from repro.crypto.signatures import SIGNATURE_SIZE, Signature
@@ -127,117 +127,3 @@ class NewView:
             + sum(vc.size_bytes for vc in self.view_changes)
             + sum(pp.size_bytes for pp in self.reproposals)
         )
-
-
-# ----------------------------------------------------------------------
-# Raft messages (classic node-level Raft substrate)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class RequestVote:
-    term: int
-    candidate: NodeAddress
-    last_log_index: int
-    last_log_term: int
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_SIZE
-
-
-@dataclass
-class RequestVoteReply:
-    term: int
-    voter: NodeAddress
-    granted: bool
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_SIZE
-
-
-@dataclass
-class AppendEntries:
-    term: int
-    leader: NodeAddress
-    prev_log_index: int
-    prev_log_term: int
-    entries: Tuple[Tuple[int, Any], ...]  # (term, command) pairs
-    leader_commit: int
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_SIZE + sum(8 + wire_size(cmd) for _, cmd in self.entries)
-
-
-@dataclass
-class AppendEntriesReply:
-    term: int
-    follower: NodeAddress
-    success: bool
-    match_index: int
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_SIZE
-
-
-# ----------------------------------------------------------------------
-# Paxos messages (Steward's global consensus substrate)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class PaxosPrepare:
-    slot: int
-    ballot: Tuple[int, int]  # (round, proposer_id)
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_SIZE
-
-
-@dataclass
-class PaxosPromise:
-    slot: int
-    ballot: Tuple[int, int]
-    acceptor: Any
-    accepted_ballot: Optional[Tuple[int, int]]
-    accepted_value: Any
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_SIZE + wire_size(self.accepted_value)
-
-
-@dataclass
-class PaxosAccept:
-    slot: int
-    ballot: Tuple[int, int]
-    value: Any
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_SIZE + wire_size(self.value)
-
-
-@dataclass
-class PaxosAccepted:
-    slot: int
-    ballot: Tuple[int, int]
-    acceptor: Any
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_SIZE
-
-
-@dataclass
-class PaxosDecide:
-    slot: int
-    value: Any
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_SIZE + wire_size(self.value)

@@ -19,28 +19,16 @@ sweep twice and diffs), written as ``benchmarks/control_ab.json``.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List
 
-#: Decimal places for floats in artifacts.
-_DIGITS = 6
+from repro.bench.report import rounded, write_json
 
 #: Policies compared, baseline first.
 POLICIES = ("static", "aimd", "target")
 
 #: Allowed goodput regression on the homogeneous guard scenario.
 FIG08_REGRESSION_TOLERANCE = 0.02
-
-
-def _rounded(value):
-    if isinstance(value, float):
-        return round(value, _DIGITS)
-    if isinstance(value, dict):
-        return {k: _rounded(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_rounded(v) for v in value]
-    return value
 
 
 class Scenario:
@@ -146,7 +134,7 @@ def run_point(
     )
     metrics = deployment.run(duration=duration, warmup=warmup)
     decisions = metrics.control_summary()
-    return _rounded(
+    return rounded(
         {
             "policy": policy,
             "goodput_tps": metrics.throughput,
@@ -245,11 +233,7 @@ def run_ab(
 
 def write_artifact(doc: Dict, out_dir) -> Path:
     """Write the A/B artifact as deterministic JSON."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "control_ab.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(Path(out_dir) / "control_ab.json", doc)
 
 
 __all__ = [

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.network import NodeAddress
 
@@ -143,14 +143,6 @@ class MembershipLog:
 
     def members_at(self, gid: int, epoch: int) -> Tuple[NodeAddress, ...]:
         return self.at_epoch(gid, epoch).members
-
-    def history(self, gid: Optional[int] = None) -> Tuple[MembershipView, ...]:
-        """All views, for one group or (epoch-ordered) for every group."""
-        if gid is not None:
-            return tuple(self._views[gid])
-        views = [v for lane in self._views.values() for v in lane]
-        views.sort(key=lambda v: (v.epoch, v.gid))
-        return tuple(views)
 
     def groups(self) -> Tuple[int, ...]:
         return tuple(sorted(self._views))

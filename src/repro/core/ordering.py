@@ -201,21 +201,12 @@ class RoundBasedOrderer:
         self.active.discard(gid)
         self._drain()
 
-    def include_group(self, gid: int) -> None:
-        self.active.add(gid)
-
     def deliver(self, gid: int, seq: int) -> None:
         """Entry ``e_{gid,seq}`` is locally committed (round = seq)."""
         if seq < 1:
             raise ValueError("sequence numbers start at 1")
         self.delivered[gid].add(seq)
         self._drain()
-
-    def rounds_behind(self, gid: int) -> int:
-        """How many rounds ahead of the execution frontier ``gid`` has
-        delivered (a backlog measure used for round-window pacing)."""
-        ahead = [s for s in self.delivered[gid] if s >= self.current_round]
-        return len(ahead)
 
     def _drain(self) -> None:
         while self.active and all(

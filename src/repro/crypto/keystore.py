@@ -57,9 +57,6 @@ class KeyStore:
             raise KeyError(f"identity {identity!r} is not registered")
         return keypair.public
 
-    def identity_of(self, public: bytes) -> Optional[HashableKey]:
-        return self._by_public.get(public)
-
     def sign_as(self, identity: HashableKey, message: Hashable) -> Signature:
         """Sign ``message`` with ``identity``'s private key."""
         keypair = self._keys.get(identity)

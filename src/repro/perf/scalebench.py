@@ -9,8 +9,7 @@ built, so a 1024-node point costs seconds and measures the event core
 alone.
 
 Each group folds its executed events into an FNV-1a digest; the digests
-(and their merge) are the deterministic record ``scale_point`` returns,
-and events/second is the score ``run_sim_bench`` reports.
+(and their merge) are the deterministic record ``scale_point`` returns.
 
 Cross-group arrival times carry tiny per-source epsilons
 (``+1e-9*(src+1) + 1e-13*seq``) so no two events in the whole system
@@ -20,10 +19,8 @@ queue's tie-breaking order.
 
 from __future__ import annotations
 
-import gc
 import struct
-import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.sim.core import Simulator
 from repro.topology import worldwide_scaled_cluster
@@ -147,8 +144,8 @@ def _latency_fn(cluster) -> Callable[[int, int], float]:
 
 def run_classic(
     cluster, nodes_per_group: int, duration: float
-) -> Tuple[Dict[int, str], int, float]:
-    """All groups in one heap loop; returns (digests, events, wall)."""
+) -> Tuple[Dict[int, str], int]:
+    """All groups in one heap loop; returns (digests, events)."""
     sim = Simulator()
     latency = _latency_fn(cluster)
     groups: Dict[int, BenchGroup] = {}
@@ -156,14 +153,9 @@ def run_classic(
         groups[gid] = BenchGroup(gid, groups, nodes_per_group, sim, latency)
     for group in groups.values():
         group.install()
-    # Keep lingering garbage from earlier runs out of the timed region
-    # (the harness runs with cyclic GC off; see repro.perf.harness).
-    gc.collect()
-    start = time.perf_counter()
     sim.run(until=duration)
-    wall = time.perf_counter() - start
     digests = {gid: group.hexdigest() for gid, group in groups.items()}
-    return digests, sim.events_processed, wall
+    return digests, sim.events_processed
 
 
 def scale_point(
@@ -178,7 +170,7 @@ def scale_point(
     1024-node point against ``benchmarks/scale_worldwide_1024.json``).
     """
     cluster = worldwide_scaled_cluster(n_groups, nodes_per_group)
-    digests, events, _wall = run_classic(cluster, nodes_per_group, duration)
+    digests, events = run_classic(cluster, nodes_per_group, duration)
     merged = FNV_OFFSET
     for gid in sorted(digests):
         for token in (str(gid), digests[gid]):
@@ -195,25 +187,3 @@ def scale_point(
         "digests": {str(gid): digests[gid] for gid in sorted(digests)},
         "merged_digest": f"{merged:016x}",
     }
-
-
-def run_sim_bench(
-    quick: bool = False,
-    log: Optional[Callable[[str], None]] = None,
-) -> Dict[str, Any]:
-    """The ``repro perf`` "sim" section: event-core events/second."""
-    n_groups = 4 if quick else 8
-    duration = 0.25 if quick else 0.5
-    cluster = worldwide_scaled_cluster(n_groups, nodes_per_group=5)
-    _digests, events, wall = run_classic(cluster, 5, duration)
-    result = {
-        "groups": n_groups,
-        "duration": duration,
-        "events": events,
-        "events_per_sec": events / wall,
-    }
-    if log:
-        log(
-            f"  sim.events_per_sec           {result['events_per_sec']:14,.0f} ev/s"
-        )
-    return result

@@ -8,7 +8,7 @@ events injected by :class:`repro.sim.network.Network`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.sim.events import Event, EventQueue
 
@@ -119,7 +119,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.events_processed = 0
-        self._shutdown_hooks: List[Callable[[], None]] = []
         #: Monotonic counter bumped by the adaptive-control stage on every
         #: actuation (mirroring the deployment's membership epoch). Plain
         #: bookkeeping — the loop never reads it — but error paths carry
@@ -203,10 +202,6 @@ class Simulator:
         """Stop the current :meth:`run` after the in-flight event returns."""
         self._stopped = True
 
-    def add_shutdown_hook(self, hook: Callable[[], None]) -> None:
-        """Register a callable invoked once when a run finishes."""
-        self._shutdown_hooks.append(hook)
-
     def run(
         self,
         until: Optional[float] = None,
@@ -249,9 +244,6 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
-            for hook in self._shutdown_hooks:
-                hook()
-            self._shutdown_hooks.clear()
         return self._now
 
     def run_until_idle(self, max_events: int = 10_000_000) -> float:

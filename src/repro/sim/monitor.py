@@ -171,12 +171,11 @@ class TimeSeries:
 
 
 class StatMonitor:
-    """A namespaced registry of counters, histograms and time series."""
+    """A namespaced registry of counters and histograms."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self.series: Dict[str, TimeSeries] = {}
 
     def counter(self, name: str) -> Counter:
         counter = self.counters.get(name)
@@ -191,13 +190,6 @@ class StatMonitor:
             hist = Histogram(name)
             self.histograms[name] = hist
         return hist
-
-    def timeseries(self, name: str) -> TimeSeries:
-        ts = self.series.get(name)
-        if ts is None:
-            ts = TimeSeries(name)
-            self.series[name] = ts
-        return ts
 
     def snapshot(self) -> Dict[str, float]:
         """Flat dict of counter values and histogram means, for reports."""

@@ -689,9 +689,6 @@ class Network:
     # Introspection
     # ------------------------------------------------------------------
 
-    def wan_utilization(self, addr: NodeAddress, elapsed: float) -> float:
-        return self._wan_up[addr].utilization(elapsed)
-
     def nic_queues(self, addr: NodeAddress) -> Dict[str, ResourceQueue]:
         """The node's NIC serialization queues, by lane name.
 

@@ -101,11 +101,6 @@ class SimNode:
             return
         self.network.broadcast_group(self.addr, self.addr.group, payload, size_bytes)
 
-    def broadcast_to_group(self, group: int, payload: Any, size_bytes: int) -> None:
-        if self.crashed:
-            return
-        self.network.broadcast_group(self.addr, group, payload, size_bytes)
-
     # ------------------------------------------------------------------
     # Compute model
     # ------------------------------------------------------------------

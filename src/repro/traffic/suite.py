@@ -12,30 +12,16 @@ produce byte-identical files on every run — CI runs each twice and diffs.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List
 
+from repro.bench.report import rounded, write_json
 from repro.traffic.scenarios import (
     N_GROUPS,
     NODES_PER_GROUP,
     SCENARIOS,
     ScenarioRun,
 )
-
-#: Decimal places for floats in artifacts (keeps files readable).
-_DIGITS = 6
-
-
-def _rounded(value):
-    """Recursively round floats for artifact output."""
-    if isinstance(value, float):
-        return round(value, _DIGITS)
-    if isinstance(value, dict):
-        return {k: _rounded(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_rounded(v) for v in value]
-    return value
 
 
 def run_one(
@@ -85,7 +71,7 @@ def run_one(
     tenant_rows = metrics.tenant_rows()
     if tenant_rows:
         record["tenants"] = tenant_rows
-    return _rounded(record)
+    return rounded(record)
 
 
 def run_scenario(
@@ -130,11 +116,8 @@ def run_scenario(
 
 def write_artifact(doc: Dict, out_dir) -> Path:
     """Write one scenario artifact as deterministic JSON."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"traffic_{doc['scenario'].replace('-', '_')}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    name = f"traffic_{doc['scenario'].replace('-', '_')}.json"
+    return write_json(Path(out_dir) / name, doc)
 
 
 def run_suite(

@@ -136,8 +136,10 @@ class TestCanonicalization:
 
 
 class TestChurnSweep:
-    def test_twenty_seed_churn_sweep_is_clean_on_massbft(self):
-        for seed in range(20):
+    def test_five_seed_churn_sweep_is_clean_on_massbft(self):
+        """Seeds 0-4 here; CI ``churn-smoke`` sweeps 0-19 with this
+        same ``CheckConfig`` (``repro check --churn --episodes 20``)."""
+        for seed in range(5):
             result = run_episode("massbft", seed, CHURN)
             assert result.ok, (
                 f"seed {seed} violated "

@@ -5,6 +5,7 @@ import hashlib
 
 import pytest
 
+import repro.consensus
 from repro.consensus.messages import PrePrepare
 from repro.consensus.pbft import (
     ModeledPbftGroup,
@@ -394,3 +395,14 @@ class TestViewChangeBackoff:
         h.sim.run(until=0.5)
         for replica in h.replicas:
             assert replica._vc_round == 0
+
+
+def test_consensus_package_exports_only_what_runs():
+    """A test-only substrate (the retired Raft/Paxos) cannot drift back
+    in unnoticed: the package is PBFT plus the wire-size helper."""
+    assert set(repro.consensus.__all__) == {
+        "ModeledPbftGroup",
+        "PbftConfig",
+        "PbftReplica",
+        "wire_size",
+    }
