@@ -74,9 +74,10 @@ class Transaction:
     payload_bytes: int = 0
     created_at: float = 0.0
     tx_id: int = field(default_factory=lambda: reserve_tx_ids(1))
-    #: Tenant index under a multi-tenant traffic spec (0 otherwise).
-    #: Stamped by the load stage at arrival attribution; deliberately
-    #: outside the serialized identity so wire bytes are unchanged.
+    #: Tenant index under a multi-tenant traffic spec (0 otherwise): the
+    #: owning batch's ``tenants`` column, copied here once the object
+    #: exists; deliberately outside the serialized identity so wire
+    #: bytes are unchanged.
     tenant: int = 0
     _size: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -127,18 +128,23 @@ class TxBatch:
     submission times), ``tenants``, :meth:`tx_ids`, :meth:`key_sets`,
     ``size_bytes`` — and its two whole-batch operations,
     :meth:`serialize` and :meth:`execute`; they only ask for
-    :attr:`transactions` when they need the objects (admission queues,
-    tests). This class wraps transactions that already exist and is the
-    per-transaction reference for both operations. A workload that
+    :attr:`transactions` when they need the objects (custom execution
+    logic, tests). Until an entry forms around it a batch is also a
+    FIFO of rows — :meth:`extend`, :meth:`split_front`, :meth:`gather`
+    — which is how the client load queues, sheds and admits arrivals
+    without looking inside them.
+
+    This class wraps transactions that already exist and is the
+    per-transaction reference for every operation. A workload that
     generates the columns directly subclasses it, leaves ``_txns`` as
-    ``None`` and implements :meth:`_build`, so its ``Transaction``
-    objects come into being on first use or never.
+    ``None`` and implements :meth:`_build` and the row operations, so
+    its ``Transaction`` objects come into being on first use or never.
 
     ``plan`` caches the batch's modeled-mode conflict plan
     (:func:`repro.ledger.execution.conflict_plan`).
     """
 
-    __slots__ = ("due", "tenants", "plan", "_txns")
+    __slots__ = ("due", "plan", "_tenants", "_txns")
 
     #: Maps a :meth:`key_sets` key to the storage key it stands for;
     #: ``None`` when the keys already are storage keys.
@@ -163,6 +169,19 @@ class TxBatch:
         return iter(self.transactions)
 
     @property
+    def tenants(self) -> Optional[List[int]]:
+        """Tenant index per row, or ``None`` for a single-tenant batch.
+        ``Transaction.tenant`` mirrors it on whatever objects exist."""
+        return self._tenants
+
+    @tenants.setter
+    def tenants(self, column: Optional[List[int]]) -> None:
+        self._tenants = column
+        if column is not None and self._txns is not None:
+            for tx, tenant in zip(self._txns, column):
+                tx.tenant = tenant
+
+    @property
     def transactions(self) -> Tuple[Transaction, ...]:
         """The batch as ``Transaction`` objects (built once, then kept)."""
         txns = self._txns
@@ -171,7 +190,37 @@ class TxBatch:
         return txns
 
     def _build(self) -> Iterable[Transaction]:
+        """The rows as new objects, ``tenant`` set from the column."""
         raise NotImplementedError
+
+    # -- row operations: the batch as a FIFO, before it is an entry ----
+
+    def extend(self, other: "TxBatch") -> None:
+        """Append ``other``'s rows. Either both batches carry a
+        ``tenants`` column or neither does."""
+        self._txns += other.transactions
+        self.due += other.due
+        if self._tenants is not None:
+            self._tenants += other.tenants
+
+    def split_front(self, n: int) -> "TxBatch":
+        """Remove the first ``n`` rows (all of them when there are
+        fewer) and return them as a new batch."""
+        tenants = self._tenants
+        front = TxBatch(self._txns[:n], None if tenants is None else tenants[:n])
+        self._txns = self._txns[n:]
+        self.due = self.due[n:]
+        if tenants is not None:
+            self._tenants = tenants[n:]
+        return front
+
+    def gather(self, indices: Sequence[int]) -> "TxBatch":
+        """A new batch of the rows at ``indices``, in that order."""
+        txns, tenants = self._txns, self._tenants
+        return TxBatch(
+            [txns[index] for index in indices],
+            None if tenants is None else [tenants[index] for index in indices],
+        )
 
     @property
     def size_bytes(self) -> int:

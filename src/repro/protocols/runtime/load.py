@@ -13,17 +13,22 @@ Arrivals come from a :class:`repro.traffic.arrivals.ArrivalProcess`.
 The constant-rate process short-circuits through a fast path whose float
 arithmetic is identical to the historical metronome, so existing seeded
 runs stay byte-identical; richer processes (Poisson, MMPP, flash
-crowds) and multi-tenant mixes go through a buffered admission queue
-with priority-aware shedding.
+crowds) and multi-tenant mixes go through buffered admission queues
+with priority-aware shedding. Both paths handle batches, never
+transactions: a queue is itself a :class:`TxBatch`, grown, shed and
+admitted from through its row operations. The two stay separate because
+their RNG contracts differ — the fast path never generates an arrival
+that aged out, the buffered path generates every arrival and then sheds
+— so neither can stand in for the other byte-identically.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from bisect import bisect_left
+from typing import List, Optional, Tuple
 
 from repro.core.entry import LogEntry
-from repro.ledger.transactions import Transaction, TxBatch
+from repro.ledger.transactions import TxBatch
 from repro.protocols.runtime.events import (
     ClientArrivals,
     EntryBatched,
@@ -40,13 +45,17 @@ class ClientLoad:
     Arrival times come from ``process`` (default: one every ``1/rate``
     seconds) but transactions are only generated when a batch forms —
     one :class:`TxBatch` per call of the workload's batch generator — so
-    no per-arrival simulator events exist. A bounded backlog
-    models client admission: arrivals older than ``queue_seconds`` are
-    dropped (clients time out), keeping measured latency meaningful at
-    saturation. With a :class:`~repro.traffic.tenancy.TenantMix`, every
-    arrival is attributed to a tenant (stamped on the transaction) and
-    shedding is priority-aware: when the batch cap binds, high-priority
-    tenants are admitted first and low-priority backlog ages out.
+    no per-arrival simulator events exist, and nothing here looks inside
+    a batch: arrivals are queued, shed and admitted as rows through the
+    batch's own ``extend`` / ``split_front`` / ``gather``, so a columnar
+    workload gets from arrival to entry without a ``Transaction``. A
+    bounded backlog models client admission: arrivals older than
+    ``queue_seconds`` are dropped (clients time out), keeping measured
+    latency meaningful at saturation. With a
+    :class:`~repro.traffic.tenancy.TenantMix`, every arrival is
+    attributed to a tenant (the batch's ``tenants`` column) and shedding
+    is priority-aware: when the batch cap binds, high-priority tenants
+    are admitted first and low-priority backlog ages out.
 
     Offered/admitted/dropped counters account for every arrival the
     process produced: ``offered == admitted + dropped + still-queued``.
@@ -86,26 +95,26 @@ class ClientLoad:
         # The constant-rate/no-tenant fast path: identical float ops to
         # the pre-traffic-subsystem hot loop, no admission buffer.
         self._simple = isinstance(process, ConstantRate) and tenants is None
-        if self._simple:
-            self._queues: Tuple[Deque[Transaction], ...] = ()
-            self._queue_order: Tuple[int, ...] = ()
-        else:
-            # One FIFO per distinct priority, admitted best-first.
-            if tenants is None:
-                priorities = (0,)
-            else:
-                priorities = tuple(sorted(set(tenants.priorities)))
-            self._prio_index = {p: i for i, p in enumerate(priorities)}
-            self._queues = tuple(deque() for _ in priorities)
-            self._queue_order = tuple(
-                sorted(range(len(priorities)), key=lambda i: -priorities[i])
-            )
+        # Buffered path: one FIFO batch per distinct priority, created
+        # with the generator (as empty batches of its own type).
+        self._queues: Tuple[TxBatch, ...] = ()
+        tenant_priorities = tenants.priorities if tenants is not None else ()
+        priorities = sorted(set(tenant_priorities)) or [0]
+        #: Queue index of each tenant's priority class.
+        self._class_of = [priorities.index(p) for p in tenant_priorities]
+        #: Queue indices, best priority first (the admission order).
+        self._queue_order = tuple(reversed(range(len(priorities))))
 
     def take(self, now: float, max_n: Optional[int] = None) -> TxBatch:
         """The batch of transactions admitted by ``now``."""
         gen = self._gen
         if gen is None:
             gen = self._gen = self.workload.batch_generator_for(self.rng)
+            if not self._simple:
+                self._queues = tuple(gen([]) for _ in self._queue_order)
+                if self.tenants is not None:
+                    for queue in self._queues:
+                        queue.tenants = []
         if self._simple:
             return self._take_simple(gen, now, max_n)
         return self._take_buffered(gen, now, max_n)
@@ -135,57 +144,60 @@ class ClientLoad:
     def _take_buffered(self, gen, now: float, max_n: Optional[int]) -> TxBatch:
         tenants = self.tenants
         queues = self._queues
-        # 1. Everything that arrived by now goes into the admission
-        #    queues as transaction objects (they may wait there across
+        # 1. Everything that arrived by now is generated — shed or not,
+        #    so the workload stream does not depend on the shedding — and
+        #    joins the admission queues (it may wait there across
         #    batches). With tenants, attribution happens at arrival time
         #    (a seeded coin over the rate shares, from its own stream) so
         #    shed decisions and drop counts are tenant-attributable.
-        arrived = gen(self.process.take_until(now)).transactions
+        arrived = gen(self.process.take_until(now))
         self.offered += len(arrived)
-        if tenants is not None:
+        if tenants is None:
+            queues[0].extend(arrived)
+        else:
             pick = tenants.pick
             tenant_rng = self.tenant_rng
-            tenant_priorities = tenants.priorities
-            prio_index = self._prio_index
-            offered_by_tenant = self.offered_by_tenant
-            for tx in arrived:
-                tenant = pick(tenant_rng)
-                offered_by_tenant[tenant] += 1
-                tx.tenant = tenant
-                queues[prio_index[tenant_priorities[tenant]]].append(tx)
-        else:
-            queues[0].extend(arrived)
+            picked = arrived.tenants = [pick(tenant_rng) for _ in arrived.due]
+            _count(self.offered_by_tenant, picked)
+            class_of = self._class_of
+            rows: List[List[int]] = [[] for _ in queues]
+            for row, tenant in enumerate(picked):
+                rows[class_of[tenant]].append(row)
+            for queue, indices in zip(queues, rows):
+                queue.extend(arrived.gather(indices))
         # 2. Shed: drop queued arrivals older than the admission window
-        #    (clients time out). Queues are FIFO per priority, so aged
-        #    entries sit at the head.
+        #    (clients time out). Due times never decrease along a queue,
+        #    so the aged rows are a prefix.
         horizon = now - self.queue_seconds
-        dropped_by_tenant = self.dropped_by_tenant
         for queue in queues:
-            while queue and queue[0].created_at < horizon:
-                tx = queue.popleft()
-                self.dropped += 1
+            aged = bisect_left(queue.due, horizon)
+            if aged:
+                self.dropped += aged
+                shed = queue.split_front(aged)
                 if tenants is not None:
-                    dropped_by_tenant[tx.tenant] += 1
+                    _count(self.dropped_by_tenant, shed.tenants)
         # 3. Admit up to ``max_n``, highest priority first, FIFO within
         #    a priority class.
-        txns: List[Transaction] = []
-        append = txns.append
-        budget = max_n if max_n is not None else -1
-        admitted_by_tenant = self.admitted_by_tenant
+        admitted, room = None, max_n
         for index in self._queue_order:
             queue = queues[index]
-            while queue:
-                if budget == 0:
-                    break
-                tx = queue.popleft()
-                append(tx)
-                if tenants is not None:
-                    admitted_by_tenant[tx.tenant] += 1
-                budget -= 1
-        self.admitted += len(txns)
-        if tenants is None:
-            return TxBatch(txns)
-        return TxBatch(txns, [tx.tenant for tx in txns])
+            part = queue.split_front(len(queue) if room is None else room)
+            if room is not None:
+                room -= len(part)
+            if admitted is None:
+                admitted = part
+            else:
+                admitted.extend(part)
+        self.admitted += len(admitted)
+        if tenants is not None:
+            _count(self.admitted_by_tenant, admitted.tenants)
+        return admitted
+
+
+def _count(counters: List[int], tenants: List[int]) -> None:
+    """Add a tenant column's per-tenant row counts to ``counters``."""
+    for tenant in range(len(counters)):
+        counters[tenant] += tenants.count(tenant)
 
 
 class LoadStage:
@@ -339,12 +351,11 @@ class LoadStage:
     def _publish_arrivals(self, now: float) -> None:
         """Publish the offered/admitted/dropped deltas since last time."""
         load = self.load
-        offered, admitted, dropped = self._published
-        d_offered = load.offered - offered
-        d_dropped = load.dropped - dropped
-        if not d_offered and not d_dropped:
+        current = (load.offered, load.admitted, load.dropped)
+        if current == self._published:
             return
-        self._published = (load.offered, load.admitted, load.dropped)
+        offered, admitted, dropped = self._published
+        self._published = current
         tenant_deltas = ((), (), ())
         if self._published_tenants is not None:
             prev = self._published_tenants
@@ -361,9 +372,9 @@ class LoadStage:
             ClientArrivals(
                 gid=self.group.gid,
                 at=now,
-                offered=d_offered,
+                offered=load.offered - offered,
                 admitted=load.admitted - admitted,
-                dropped=d_dropped,
+                dropped=load.dropped - dropped,
                 offered_by_tenant=tenant_deltas[0],
                 admitted_by_tenant=tenant_deltas[1],
                 dropped_by_tenant=tenant_deltas[2],

@@ -108,6 +108,13 @@ class _GeneratedProcess(ArrivalProcess):
     drained-but-not-yet-due arrival survive across ``take_until`` calls,
     so chunked draining produces the identical time sequence as a single
     drain — the float-accumulation determinism the load stage relies on.
+
+    ``take_until`` is the hot call (once per batch, every arrival of the
+    run passes through it), so each subclass writes it as one loop with
+    its draw inlined: the same draws and float expressions, in the same
+    order, as pulling arrival by arrival through :meth:`peek`, which
+    stays the reference and serves :meth:`drop_until`. Like that pull,
+    it always leaves the first arrival it did not return in ``_pending``.
     """
 
     _pending: Optional[float]
@@ -131,18 +138,6 @@ class _GeneratedProcess(ArrivalProcess):
             self._pending = None
             dropped += 1
         return dropped
-
-    def take_until(self, now: float, max_n: Optional[int] = None) -> List[float]:
-        times: List[float] = []
-        append = times.append
-        n = 0
-        while self.peek() <= now:
-            if n == max_n:
-                break
-            append(self._pending)
-            self._pending = None
-            n += 1
-        return times
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +305,32 @@ class PoissonProcess(_GeneratedProcess):
                 self._t = t
                 return t
 
+    def take_until(self, now: float, max_n: Optional[int] = None) -> List[float]:
+        times: List[float] = []
+        append = times.append
+        rng_random = self.rng.random
+        rate = self.curve.rate
+        peak = self._peak
+        log = math.log
+        t = self._t
+        pending = self._pending
+        n = 0
+        while True:
+            if pending is None:
+                while True:
+                    t += -log(1.0 - rng_random()) / peak
+                    if rng_random() * peak <= rate(t):
+                        break
+                pending = t
+            if pending > now or n == max_n:  # max_n=None: no cap
+                break
+            append(pending)
+            pending = None
+            n += 1
+        self._t = t
+        self._pending = pending
+        return times
+
 
 class MMPPProcess(_GeneratedProcess):
     """Markov-modulated Poisson arrivals (bursty internet traffic).
@@ -360,6 +381,41 @@ class MMPPProcess(_GeneratedProcess):
             self._state = (self._state + 1) % len(states)
             hold = states[self._state][1]
             self._state_until = t + (-math.log(1.0 - rng_random()) * hold)
+
+    def take_until(self, now: float, max_n: Optional[int] = None) -> List[float]:
+        times: List[float] = []
+        append = times.append
+        rng_random = self.rng.random
+        states = self.states
+        log = math.log
+        t = self._t
+        state = self._state
+        state_until = self._state_until
+        pending = self._pending
+        n = 0
+        while True:
+            if pending is None:
+                while True:
+                    rate = states[state][0]
+                    if rate > 0:
+                        candidate = t + (-log(1.0 - rng_random()) / rate)
+                        if candidate <= state_until:
+                            break
+                    t = state_until
+                    state = (state + 1) % len(states)
+                    hold = states[state][1]
+                    state_until = t + (-log(1.0 - rng_random()) * hold)
+                t = pending = candidate
+            if pending > now or n == max_n:  # max_n=None: no cap
+                break
+            append(pending)
+            pending = None
+            n += 1
+        self._t = t
+        self._state = state
+        self._state_until = state_until
+        self._pending = pending
+        return times
 
 
 __all__ = [

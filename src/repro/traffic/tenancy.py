@@ -52,6 +52,8 @@ class TenantMix:
         if len(set(names)) != len(names):
             raise ValueError("tenant names must be unique")
         self.tenants: Tuple[Tenant, ...] = tenants
+        self.names: Tuple[str, ...] = tuple(names)
+        self.priorities: Tuple[int, ...] = tuple(t.priority for t in tenants)
         total = sum(t.share for t in tenants)
         # Cumulative normalised shares for bisect-based attribution.
         self._cum: List[float] = []
@@ -60,14 +62,6 @@ class TenantMix:
             acc += t.share / total
             self._cum.append(acc)
         self._cum[-1] = 1.0  # guard against float shortfall
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(t.name for t in self.tenants)
-
-    @property
-    def priorities(self) -> Tuple[int, ...]:
-        return tuple(t.priority for t in self.tenants)
 
     def pick(self, rng) -> int:
         """Attribute one arrival to a tenant index (seeded draw).

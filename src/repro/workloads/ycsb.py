@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.ledger.execution import TxLogic
 from repro.ledger.state import KVStore, table_key
@@ -66,7 +66,9 @@ def _new_column(value: int) -> str:
     return f"upd:{value}".ljust(COLUMN_BYTES, "y")
 
 
-def _transaction(now: float, code: int, value: int, tx_id: int) -> Transaction:
+def _transaction(
+    now: float, code: int, value: int, tx_id: int, tenant: int = 0
+) -> Transaction:
     """The ``Transaction`` for one row of YCSB columns: key code and
     update value (or ``READ``)."""
     key, column = divmod(code, N_COLUMNS)
@@ -74,11 +76,11 @@ def _transaction(now: float, code: int, value: int, tx_id: int) -> Transaction:
     params: Dict[str, Any] = {"key": key, "column": column}
     if value == READ:
         return Transaction(
-            "ycsb_read", keys, (), params, READ_PAYLOAD, created_at=now, tx_id=tx_id
+            "ycsb_read", keys, (), params, READ_PAYLOAD, now, tx_id, tenant
         )
     params["value"] = _new_column(value)
     return Transaction(
-        "ycsb_update", (), keys, params, UPDATE_PAYLOAD, created_at=now, tx_id=tx_id
+        "ycsb_update", (), keys, params, UPDATE_PAYLOAD, now, tx_id, tenant
     )
 
 
@@ -103,31 +105,91 @@ def _update(store: KVStore, tx: Transaction) -> Dict[str, Any]:
     return {tx.write_keys[0]: tx.params["value"]}
 
 
+def _joined_ids(head: Sequence[int], tail: Sequence[int]) -> Sequence[int]:
+    """The tx-id column of ``head``'s rows followed by ``tail``'s: still
+    a ``range`` when the two are adjacent ranges, packed otherwise."""
+    if not len(tail):
+        return head
+    if not len(head):
+        return tail
+    if isinstance(head, range) and isinstance(tail, range):
+        if head.stop == tail.start:
+            return range(head.start, tail.stop)
+    return array("q", head) + array("q", tail)
+
+
 class YcsbBatch(TxBatch):
     """A YCSB batch as parallel columns: ``due``, key ``codes``, update
-    ``values`` (``READ`` marks a read) and a reserved contiguous tx-id
-    range starting at ``first_id``. Conflict detection runs on the
-    integer codes, and payload bytes and full execution come straight
-    from the columns; ``Transaction`` objects exist only once asked for.
-    The two integer columns are packed arrays: they stay with the entry
-    for the whole run."""
+    ``values`` (``READ`` marks a read), tx ``ids`` and, under a tenant
+    mix, ``tenants``. Conflict detection runs on the integer codes,
+    payload bytes and full execution come straight from the columns, and
+    so do the row operations an admission queue needs; ``Transaction``
+    objects exist only once asked for. ``codes`` and ``values`` are
+    packed arrays — they stay with the entry for the whole run — and
+    ``ids`` is the reserved ``range`` the generator got for as long as
+    the rows are one, a packed array once non-adjacent ranges were
+    joined or rows were gathered."""
 
-    __slots__ = ("codes", "values", "first_id")
+    __slots__ = ("codes", "values", "ids")
 
     def __init__(
-        self, due: List[float], codes: List[int], values: List[int], first_id: int
+        self,
+        due: List[float],
+        codes: array,
+        values: array,
+        ids: Sequence[int],
+        tenants: Optional[List[int]] = None,
     ) -> None:
         self.due = due
-        self.tenants = None
+        self._tenants = tenants
         self.plan = None
         self._txns = None
-        self.codes = array("q", codes)
-        self.values = array("q", values)
-        self.first_id = first_id
+        self.codes = codes
+        self.values = values
+        self.ids = ids
 
     def _build(self) -> Iterator[Transaction]:
-        return map(
-            _transaction, self.due, self.codes, self.values, self.tx_ids()
+        columns = [self.due, self.codes, self.values, self.ids]
+        if self._tenants is not None:
+            columns.append(self._tenants)
+        return map(_transaction, *columns)
+
+    def extend(self, other: "YcsbBatch") -> None:
+        self._txns = None
+        self.due += other.due
+        self.codes += other.codes
+        self.values += other.values
+        self.ids = _joined_ids(self.ids, other.ids)
+        if self._tenants is not None:
+            self._tenants += other.tenants
+
+    def split_front(self, n: int) -> "YcsbBatch":
+        due, codes, values, ids = self.due, self.codes, self.values, self.ids
+        tenants = self._tenants
+        front = YcsbBatch(
+            due[:n],
+            codes[:n],
+            values[:n],
+            ids[:n],
+            None if tenants is None else tenants[:n],
+        )
+        self._txns = None
+        self.due, self.codes, self.values, self.ids = (
+            due[n:], codes[n:], values[n:], ids[n:]
+        )
+        if tenants is not None:
+            self._tenants = tenants[n:]
+        return front
+
+    def gather(self, indices: Sequence[int]) -> "YcsbBatch":
+        due, codes, values, ids = self.due, self.codes, self.values, self.ids
+        tenants = self._tenants
+        return YcsbBatch(
+            [due[index] for index in indices],
+            array("q", [codes[index] for index in indices]),
+            array("q", [values[index] for index in indices]),
+            array("q", [ids[index] for index in indices]),
+            None if tenants is None else [tenants[index] for index in indices],
         )
 
     @property
@@ -140,8 +202,8 @@ class YcsbBatch(TxBatch):
             + updates * UPDATE_PAYLOAD
         )
 
-    def tx_ids(self) -> range:
-        return range(self.first_id, self.first_id + len(self.due))
+    def tx_ids(self) -> Sequence[int]:
+        return self.ids
 
     def key_sets(self):
         rows = list(zip(self.codes, self.values))
@@ -159,8 +221,7 @@ class YcsbBatch(TxBatch):
         read_size = TX_ENVELOPE_SIZE + READ_PAYLOAD
         update_size = TX_ENVELOPE_SIZE + UPDATE_PAYLOAD
         out = bytearray()
-        tx_id = self.first_id
-        for code, value in zip(self.codes, self.values):
+        for code, value, tx_id in zip(self.codes, self.values, self.ids):
             key, column = divmod(code, N_COLUMNS)
             if value == READ:
                 body = (
@@ -174,7 +235,6 @@ class YcsbBatch(TxBatch):
                 ).encode().ljust(update_size, b"\x00")
             out += len(body).to_bytes(4, "big")
             out += body
-            tx_id += 1
         return bytes(out)
 
     def execute(self, store, logic, only=None, retries=FRESH):
@@ -296,7 +356,13 @@ class YcsbWorkload(Workload):
                     while value >= VALUE_RANGE:
                         value = getrandbits(value_bits)
                     add_value(value)
-            return YcsbBatch(due, codes, values, reserve_tx_ids(len(due)))
+            first_id = reserve_tx_ids(len(due))
+            return YcsbBatch(
+                due,
+                array("q", codes),
+                array("q", values),
+                range(first_id, first_id + len(due)),
+            )
 
         return gen
 

@@ -131,6 +131,66 @@ class TestMMPPProcess:
             MMPPProcess(((100.0, 0.0),), stream("m"))  # holding must be > 0
 
 
+def peek_drain(proc, now, max_n=None):
+    """``take_until`` as arrival-by-arrival ``peek()`` pulls (one
+    ``_generate()`` call each): the reference for the inlined loops."""
+    times = []
+    n = 0
+    while proc.peek() <= now:
+        if n == max_n:
+            break
+        times.append(proc._pending)
+        proc._pending = None
+        n += 1
+    return times
+
+
+GENERATED = {
+    "poisson": lambda rng: PoissonProcess(ConstantCurve(1500.0), rng),
+    "flash": lambda rng: PoissonProcess(
+        FlashCrowdCurve(300.0, 4000.0, start=0.3, duration=0.4, ramp=0.05), rng
+    ),
+    "diurnal": lambda rng: PoissonProcess(DiurnalCurve(1500.0, 0.6, 0.5), rng),
+    "mmpp": lambda rng: MMPPProcess(((3000.0, 0.05), (200.0, 0.1)), rng),
+    "mmpp-idle": lambda rng: MMPPProcess(((4000.0, 0.05), (0.0, 0.05)), rng),
+}
+
+#: (now, max_n) call sequences: one drain, chunks, capped chunks with a
+#: final sweep, zero caps and a clock that does not advance, and the
+#: perfbench micro's unbounded-horizon capped pulls.
+DRAINS = {
+    "single": [(1.0, None)],
+    "chunked": [(0.05 * i, None) for i in range(1, 21)],
+    "capped": [(0.05 * i, 37) for i in range(1, 21)] + [(1.0, None)],
+    "stalled": [(0.2, 0), (0.2, 5), (0.1, None), (0.2, None), (0.2, None), (0.6, 1)],
+    "micro": [(math.inf, 1000), (math.inf, 1000)],
+}
+
+
+@pytest.mark.parametrize("kind", GENERATED)
+@pytest.mark.parametrize("drain", DRAINS)
+def test_inlined_take_until_equals_peek_draining(kind, drain):
+    inlined, reference = GENERATED[kind](stream("a")), GENERATED[kind](stream("a"))
+    total = 0
+    for now, max_n in DRAINS[drain]:
+        times = inlined.take_until(now, max_n)
+        assert times == peek_drain(reference, now, max_n)
+        total += len(times)
+        # The surviving arrival, the cursor and the stream: all equal, so
+        # any later call continues identically.
+        assert inlined._pending == reference._pending is not None
+        assert inlined._t == reference._t
+        if kind.startswith("mmpp"):
+            assert inlined._state == reference._state
+            assert inlined._state_until == reference._state_until
+        assert inlined.rng.getstate() == reference.rng.getstate()
+    assert total > 0
+    # ...including a mixed one: drop through peek(), then the inlined loop.
+    horizon = inlined._pending + 0.1
+    assert inlined.drop_until(horizon) == reference.drop_until(horizon)
+    assert inlined.take_until(horizon + 0.1) == peek_drain(reference, horizon + 0.1)
+
+
 class TestRateCurves:
     def test_diurnal_shape_and_peak(self):
         curve = DiurnalCurve(1000.0, amplitude=0.5, period=1.0)

@@ -2,28 +2,43 @@
 
 The batch generator must be the ``generate()`` stream in another shape,
 the conflict plan must be the per-transaction Aria executor
-(:mod:`tests.aria_reference`) computed once, a YCSB batch's payload bytes
-and full execution must be its transactions' without the objects, and a
-YCSB run — modeled or real-coded and fully executed — must get from
-arrival to commit without building a ``Transaction``.
+(:mod:`tests.aria_reference`) computed once, a YCSB batch's payload bytes,
+full execution and queue row operations must be its transactions' without
+the objects, the buffered client load must admit what its
+deque-of-``Transaction`` predecessor admitted, and a YCSB run — modeled
+or real-coded and fully executed, constant-rate, Poisson or multi-tenant
+— must get from arrival to commit without building a ``Transaction``.
 """
 
 import hashlib
 import random
 import sys
 from array import array
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ledger import execution, transactions
 from repro.ledger.execution import AriaExecutor, ExecutionPipeline
 from repro.ledger.state import KVStore
 from repro.ledger.transactions import Transaction, TxBatch, serialize_batch
 from repro.protocols import GeoDeployment, protocol_by_name
-from repro.protocols.runtime.events import EntryExecuted
+from repro.protocols.runtime.events import ClientArrivals, EntryExecuted
 from repro.protocols.runtime.load import ClientLoad
 from repro.topology import nationwide_cluster
-from repro.traffic import HotspotDrift, TrafficSpec, gold_silver_bronze
+from repro.traffic import (
+    ConstantCurve,
+    FlashCrowdCurve,
+    HotspotDrift,
+    MMPPProcess,
+    PoissonProcess,
+    Tenant,
+    TenantMix,
+    TrafficSpec,
+    gold_silver_bronze,
+)
 from repro.workloads import make_workload
 from repro.workloads.smallbank import SmallBankWorkload
 from repro.workloads.tpcc import TpccWorkload
@@ -157,6 +172,287 @@ def test_default_batch_generator_wraps_the_generate_stream():
         assert type(batch) is TxBatch
         assert [fields(tx) for tx in batch] == [fields(tx) for tx in stream]
         assert rng_batch.getstate() == rng_stream.getstate()
+
+
+# ----------------------------------------------------------------------
+# Row operations: a columnar batch as a FIFO == the wrapped-tuple base
+# ----------------------------------------------------------------------
+
+
+def columns(batch):
+    """Everything a consumer reads without asking for the objects."""
+    name = batch.key_name or (lambda key: key)
+    reads, writes = batch.key_sets()
+    return (
+        len(batch),
+        list(batch.tx_ids()),
+        batch.due,
+        batch.tenants,
+        [tuple(map(name, keys)) for keys in reads],
+        [tuple(map(name, keys)) for keys in writes],
+        batch.size_bytes,
+        batch.serialize(),
+    )
+
+
+def objects(batch):
+    return [fields(tx) + (tx.tx_id, tx.tenant) for tx in batch.transactions]
+
+
+def assert_same_rows(columnar, reference):
+    assert type(columnar) is YcsbBatch and type(reference) is TxBatch
+    assert columns(columnar) == columns(reference)
+    assert columnar._txns is None  # no operation or column needed the objects
+    assert objects(columnar) == objects(reference)
+    columnar._txns = None  # columnar again for the next operation
+
+
+def mirror(batch):
+    """The base-class batch of ``batch``'s transactions (materialised
+    from a copy, so ``batch`` itself stays columnar)."""
+    tenants = batch.tenants
+    copy = YcsbBatch(
+        list(batch.due),
+        batch.codes[:],
+        batch.values[:],
+        batch.ids[:],
+        None if tenants is None else list(tenants),
+    )
+    return TxBatch(copy.transactions, None if tenants is None else list(tenants))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 16),
+    with_tenants=st.booleans(),
+    program=st.lists(
+        st.tuples(
+            st.sampled_from(["extend", "split_front", "gather"]),
+            st.integers(0, 1 << 20),
+        ),
+        max_size=12,
+    ),
+)
+def test_row_operations_equal_the_per_transaction_reference(
+    seed, with_tenants, program
+):
+    rng = random.Random(seed)
+    gen = ycsb(n_rows=50).batch_generator_for(random.Random(seed + 1))
+    clock = iter(i * 0.001 for i in range(10_000))
+
+    def arrivals(n):
+        # Another group reserved ids in between, or did not: the joined
+        # id column is packed or still a range.
+        transactions.reserve_tx_ids(rng.choice((0, 3)))
+        batch = gen([next(clock) for _ in range(n)])
+        if with_tenants:
+            batch.tenants = [rng.randrange(3) for _ in range(n)]
+        return batch
+
+    queue = arrivals(rng.randrange(8))
+    reference = mirror(queue)
+    for operation, arg in program:
+        if operation == "extend":
+            other = arrivals(arg % 9)
+            reference.extend(mirror(other))
+            queue.extend(other)
+        elif operation == "split_front":
+            n = arg % (len(queue) + 2)  # past the end: everything
+            assert_same_rows(queue.split_front(n), reference.split_front(n))
+        else:
+            rows = [rng.randrange(len(queue)) for _ in range(arg % 7) if len(queue)]
+            assert_same_rows(queue.gather(rows), reference.gather(rows))
+        assert_same_rows(queue, reference)
+
+
+def test_id_column_is_a_range_while_contiguous_and_packed_after():
+    gen = ycsb().batch_generator_for(random.Random(2))
+    queue = gen([])
+    queue.extend(gen(DUE[:5]))
+    queue.extend(gen(DUE[5:8]))  # the very next reservation: adjacent
+    first = queue.ids.start
+    assert queue.ids == range(first, first + 8)
+    assert queue.split_front(2).ids == range(first, first + 2)
+    transactions.reserve_tx_ids(4)
+    queue.extend(gen(DUE[8:10]))
+    expected = list(range(first + 2, first + 8)) + [first + 12, first + 13]
+    assert type(queue.ids) is array and list(queue.ids) == expected
+    assert [tx.tx_id for tx in queue] == expected
+    gathered = queue.gather([7, 0])
+    assert type(gathered.ids) is array and list(gathered.tx_ids()) == expected[::-7]
+
+
+def test_tenant_column_is_mirrored_on_whatever_objects_exist():
+    batch = ycsb().batch_generator_for(random.Random(3))(DUE[:4])
+    batch.tenants = [2, 0, 1, 2]
+    assert batch._txns is None
+    assert [tx.tenant for tx in batch] == [2, 0, 1, 2]
+    batch.tenants = [0, 1, 2, 0]  # objects exist now: restamped
+    assert [tx.tenant for tx in batch] == [0, 1, 2, 0]
+    wrapped = TxBatch(batch.transactions[:2], [1, 1])
+    assert [tx.tenant for tx in wrapped] == [1, 1]
+    assert TxBatch(batch.transactions).tenants is None
+
+
+# ----------------------------------------------------------------------
+# Buffered admission == the deque-of-Transaction load it replaced
+# ----------------------------------------------------------------------
+
+
+class ReferenceBufferedLoad:
+    """``ClientLoad``'s buffered path as it was before the queues went
+    columnar (commit cade82c), verbatim: every arrival materialised into
+    per-priority deques of ``Transaction``."""
+
+    def __init__(self, workload, rng, queue_seconds, process, tenants, tenant_rng):
+        self.queue_seconds = queue_seconds
+        self.process = process
+        self.tenants = tenants
+        self.tenant_rng = tenant_rng
+        self.offered = 0
+        self.admitted = 0
+        self.dropped = 0
+        n_tenants = len(tenants) if tenants is not None else 0
+        self.offered_by_tenant = [0] * n_tenants
+        self.admitted_by_tenant = [0] * n_tenants
+        self.dropped_by_tenant = [0] * n_tenants
+        self._gen = workload.batch_generator_for(rng)
+        if tenants is None:
+            priorities = (0,)
+        else:
+            priorities = tuple(sorted(set(tenants.priorities)))
+        self._prio_index = {p: i for i, p in enumerate(priorities)}
+        self._queues = tuple(deque() for _ in priorities)
+        self._queue_order = tuple(
+            sorted(range(len(priorities)), key=lambda i: -priorities[i])
+        )
+
+    def take(self, now, max_n=None):
+        gen = self._gen
+        tenants = self.tenants
+        queues = self._queues
+        arrived = gen(self.process.take_until(now)).transactions
+        self.offered += len(arrived)
+        if tenants is not None:
+            pick = tenants.pick
+            tenant_rng = self.tenant_rng
+            tenant_priorities = tenants.priorities
+            prio_index = self._prio_index
+            offered_by_tenant = self.offered_by_tenant
+            for tx in arrived:
+                tenant = pick(tenant_rng)
+                offered_by_tenant[tenant] += 1
+                tx.tenant = tenant
+                queues[prio_index[tenant_priorities[tenant]]].append(tx)
+        else:
+            queues[0].extend(arrived)
+        horizon = now - self.queue_seconds
+        dropped_by_tenant = self.dropped_by_tenant
+        for queue in queues:
+            while queue and queue[0].created_at < horizon:
+                tx = queue.popleft()
+                self.dropped += 1
+                if tenants is not None:
+                    dropped_by_tenant[tx.tenant] += 1
+        txns = []
+        append = txns.append
+        budget = max_n if max_n is not None else -1
+        admitted_by_tenant = self.admitted_by_tenant
+        for index in self._queue_order:
+            queue = queues[index]
+            while queue:
+                if budget == 0:
+                    break
+                tx = queue.popleft()
+                append(tx)
+                if tenants is not None:
+                    admitted_by_tenant[tx.tenant] += 1
+                budget -= 1
+        self.admitted += len(txns)
+        if tenants is None:
+            return TxBatch(txns)
+        return TxBatch(txns, [tx.tenant for tx in txns])
+
+
+PROCESSES = {
+    "poisson": lambda rng: PoissonProcess(ConstantCurve(3000.0), rng),
+    "flash": lambda rng: PoissonProcess(
+        FlashCrowdCurve(800.0, 9000.0, start=0.3, duration=0.5, ramp=0.05), rng
+    ),
+    "mmpp": lambda rng: MMPPProcess(((6000.0, 0.08), (0.0, 0.05), (500.0, 0.1)), rng),
+}
+
+MIXES = {
+    "single": lambda: None,
+    "gold-silver-bronze": gold_silver_bronze,
+    # Two tenants in one priority class, and indices not in priority order.
+    "shared-class": lambda: TenantMix(
+        [Tenant("a", 0.3, 1), Tenant("b", 0.3, 5), Tenant("c", 0.4, 1)]
+    ),
+}
+
+
+def admission_trace(make_load, workload_name, process, mix, max_n, monkeypatch):
+    """Drive one load through 80 takes on an uneven clock while the
+    admission window moves (the AIMD controller retunes it mid-run);
+    returns what every take admitted and all the state left behind."""
+    monkeypatch.setattr(transactions, "_next_tx_id", 1)
+    rngs = [random.Random(seed) for seed in (21, 22, 23)]
+    tenants = MIXES[mix]()
+    load = make_load(
+        make_workload(workload_name),
+        rng=rngs[0],
+        queue_seconds=0.06,
+        process=PROCESSES[process](rngs[1]),
+        tenants=tenants,
+        tenant_rng=rngs[2] if tenants is not None else None,
+    )
+    clock = random.Random(5)
+    now, takes = 0.0, []
+    for step in range(80):
+        now += clock.choice((0.0, 0.004, 0.012, 0.03))
+        load.queue_seconds = (0.06, 0.01, 0.2, 0.03, 0.06)[step // 16]
+        batch = load.take(now, max_n)
+        takes.append(
+            (
+                list(batch.tx_ids()),
+                list(batch.due),
+                batch.tenants,
+                batch.size_bytes,
+                objects(batch),
+                (load.offered, load.admitted, load.dropped),
+                (
+                    list(load.offered_by_tenant),
+                    list(load.admitted_by_tenant),
+                    list(load.dropped_by_tenant),
+                ),
+            )
+        )
+    queued = [
+        [(tx.tx_id, tx.created_at, tx.tenant) for tx in queue]
+        for queue in load._queues
+    ]
+    return takes, queued, [rng.getstate() for rng in rngs]
+
+
+@pytest.mark.parametrize("workload_name", ["ycsb-a", "smallbank"])
+@pytest.mark.parametrize("process", PROCESSES)
+@pytest.mark.parametrize("mix", MIXES)
+@pytest.mark.parametrize("max_n", [None, 25])
+def test_buffered_take_equals_the_deque_reference(
+    workload_name, process, mix, max_n, monkeypatch
+):
+    args = (workload_name, process, mix, max_n, monkeypatch)
+    takes, queued, streams = admission_trace(ClientLoad, *args)
+    ref_takes, ref_queued, ref_streams = admission_trace(ReferenceBufferedLoad, *args)
+    for take, expected in zip(takes, ref_takes):
+        assert take == expected
+    assert queued == ref_queued and streams == ref_streams
+    offered, admitted, dropped = takes[-1][5]
+    assert dropped > 0 and admitted > 0
+    assert offered == admitted + dropped + sum(map(len, queued))
+    if max_n is not None:  # the cap bound and left a remainder queued
+        assert any(len(take[0]) == max_n for take in takes)
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +745,7 @@ def test_two_pipelines_fed_the_same_entries_end_with_equal_stores(name):
 
 
 # ----------------------------------------------------------------------
-# A YCSB run builds no Transaction, modeled or real/full; tenant runs do
+# A YCSB run builds no Transaction: modeled or real/full, any traffic
 # ----------------------------------------------------------------------
 
 
@@ -482,19 +778,43 @@ def deep_size(obj, seen):
 
 
 class TestNoMaterialisation:
-    def test_modeled_run_builds_no_transaction(self, transactions_built):
-        deployment = fig08_shaped()
-        metrics = deployment.run(duration=0.8, warmup=0.2)
+    def assert_run_stayed_columnar(self, deployment, metrics, transactions_built):
         assert metrics.committed > 10_000
         assert not transactions_built
         entries = list(deployment.entries.values())
         assert all(entry.batch._txns is None for entry in entries)
-        # What an entry keeps for the run: three packed/shared columns, the
+        # What an entry keeps for the run: a few packed/shared columns, the
         # commit times and the survivors' write map. A Transaction graph is
         # several hundred bytes per transaction; this must stay well under.
         seen = set()
         retained = sum(deep_size(entry.batch, seen) for entry in entries)
         assert retained / sum(entry.tx_count for entry in entries) < 256
+
+    def test_modeled_run_builds_no_transaction(self, transactions_built):
+        deployment = fig08_shaped()
+        metrics = deployment.run(duration=0.8, warmup=0.2)
+        self.assert_run_stayed_columnar(deployment, metrics, transactions_built)
+
+    def test_flash_crowd_tenant_run_builds_no_transaction(self, transactions_built):
+        # A saturating spike: queue remainders, shedding, packed id columns
+        # and a tenant column on every entry.
+        spec = TrafficSpec.flash_crowd(
+            base=8_000.0,
+            spike=40_000.0,
+            start=0.3,
+            duration=0.3,
+            n_groups=3,
+            tenants=gold_silver_bronze(),
+        )
+        deployment = fig08_shaped(
+            offered_load=spec.offered_load(range(3)), traffic=spec
+        )
+        metrics = deployment.run(duration=0.8, warmup=0.2)
+        assert metrics.dropped_txns > 0
+        batches = [entry.batch for entry in deployment.entries.values()]
+        assert any(type(batch.tx_ids()) is array for batch in batches)
+        assert all(len(batch.tenants) == len(batch) for batch in batches)
+        self.assert_run_stayed_columnar(deployment, metrics, transactions_built)
 
     def test_real_coded_full_execution_builds_no_transaction(
         self, transactions_built
@@ -515,25 +835,36 @@ class TestNoMaterialisation:
         values = [str(value) for _, value in store.scan_prefix("usertable/")]
         assert any(value.startswith("upd:") for value in values)
 
-    def test_tenant_traffic_still_materialises_and_stamps_tenant(
-        self, transactions_built
-    ):
-        spec = TrafficSpec.constant(8_000.0, n_groups=3, tenants=gold_silver_bronze())
+    @pytest.mark.parametrize("process", ["constant", "poisson"])
+    def test_tenant_traffic_builds_no_transaction(self, process, transactions_built):
+        make_spec = getattr(TrafficSpec, process)
+        spec = make_spec(8_000.0, n_groups=3, tenants=gold_silver_bronze())
         deployment = fig08_shaped(
             offered_load=spec.offered_load(range(3)), traffic=spec
         )
         published = []
         deployment.bus.subscribe(EntryExecuted, published.append)
         deployment.run(duration=0.4, warmup=0.1)
-        assert transactions_built
-        stamped = {
-            tx.tenant for entry in deployment.entries.values() for tx in entry.batch
-        }
-        assert stamped == {0, 1, 2}
+        assert not transactions_built
+        entries = list(deployment.entries.values())
+        assert {t for entry in entries for t in entry.batch.tenants} == {0, 1, 2}
         assert published and all(
             len(e.commit_tenants) == len(e.commit_times) for e in published
         )
         assert {t for e in published for t in e.commit_tenants} == {0, 1, 2}
+        # Whoever does ask for the objects finds the tenant on them.
+        for entry in entries:
+            assert [tx.tenant for tx in entry.batch] == entry.batch.tenants
+        assert len(transactions_built) == sum(entry.tx_count for entry in entries)
+
+    def test_poisson_traffic_builds_no_transaction(self, transactions_built):
+        spec = TrafficSpec.poisson(8_000.0, n_groups=3)
+        deployment = fig08_shaped(
+            offered_load=spec.offered_load(range(3)), traffic=spec
+        )
+        metrics = deployment.run(duration=0.4, warmup=0.1)
+        assert metrics.committed > 3_000 and not transactions_built
+        assert all(e.batch.tenants is None for e in deployment.entries.values())
 
     def test_client_load_batch_materialises_on_iteration_only(
         self, transactions_built
@@ -543,6 +874,57 @@ class TestNoMaterialisation:
         assert len(batch) == load.admitted > 0 and not transactions_built
         assert [tx.created_at for tx in batch] == batch.due
         assert len(transactions_built) == len(batch)
+
+
+def test_published_arrivals_account_for_every_arrival():
+    """Bursts against a small batch cap: some batches are served purely
+    from the queue remainder (nothing new offered, nothing dropped), and
+    those admissions are published too."""
+    spec = TrafficSpec.mmpp(
+        ((30_000.0, 0.04), (0.0, 0.15)), n_groups=3, tenants=gold_silver_bronze()
+    )
+    deployment = fig08_shaped(
+        offered_load=spec.offered_load(range(3)),
+        traffic=spec,
+        max_batch_txns=150,
+        client_queue_seconds=0.1,
+    )
+    published = {gid: [0, 0, 0] for gid in range(3)}
+    by_tenant = {gid: [[0] * 3, [0] * 3, [0] * 3] for gid in range(3)}
+    remainder_only = []
+
+    def on_arrivals(event):
+        deltas = (event.offered, event.admitted, event.dropped)
+        tenant_deltas = (
+            event.offered_by_tenant,
+            event.admitted_by_tenant,
+            event.dropped_by_tenant,
+        )
+        for kind in range(3):
+            published[event.gid][kind] += deltas[kind]
+            assert sum(tenant_deltas[kind]) == deltas[kind]
+            for tenant, count in enumerate(tenant_deltas[kind]):
+                by_tenant[event.gid][kind][tenant] += count
+        if event.admitted and not event.offered and not event.dropped:
+            remainder_only.append(event)
+
+    deployment.bus.subscribe(ClientArrivals, on_arrivals)
+    deployment.run(duration=1.0, warmup=0.0)  # ends with two groups mid-burst
+    assert remainder_only
+    still_queued = 0
+    for gid, group in deployment.groups.items():
+        load = group.load_stage.load
+        queued = sum(map(len, load._queues))
+        still_queued += queued
+        assert load.dropped > 0
+        assert load.offered == load.admitted + load.dropped + queued
+        assert published[gid] == [load.offered, load.admitted, load.dropped]
+        assert by_tenant[gid] == [
+            load.offered_by_tenant,
+            load.admitted_by_tenant,
+            load.dropped_by_tenant,
+        ]
+    assert still_queued > 0
 
 
 #: sha256 over every published (entry id, commit_times, commit_tenants,
