@@ -2,7 +2,8 @@
 
 * :class:`~repro.consensus.pbft.ModeledPbftGroup` is what every
   deployment runs: the aggregate model of one group's PBFT round (one
-  commit time per member, LAN bytes billed, quorum certificates).
+  commit time per member, delivered at the leader; LAN bytes billed;
+  quorum certificates signed on first read).
 * :class:`~repro.consensus.pbft.PbftReplica` is the message-level
   implementation (Section II-A: pre-prepare/prepare/commit, the
   prepare-skipping accept variant, view changes, checkpoints). Only its

@@ -11,17 +11,19 @@ certificate"):
   the sender group already certified it — Section II-A, after Ziziphus).
 
 * :class:`ModeledPbftGroup` — a calibrated aggregate model that produces
-  the same commits with the same timing/traffic characteristics but O(n)
-  simulator events per entry instead of O(n^2) messages. Large-scale
-  benchmark sweeps use it; correctness tests and the fault experiments use
-  the full replica.
+  the same commits with the same timing/traffic characteristics but one
+  simulator event per entry (the commit at the leader, the only member
+  that acts on it) instead of O(n^2) messages. Large-scale benchmark
+  sweeps use it; correctness tests and the fault experiments use the full
+  replica.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.consensus.messages import (
     Checkpoint,
@@ -32,7 +34,7 @@ from repro.consensus.messages import (
     ViewChange,
 )
 from repro.costs import CostModel
-from repro.crypto.certificates import QuorumCertificate
+from repro.crypto.certificates import DeferredCertificate, QuorumCertificate
 from repro.crypto.hashing import digest
 from repro.crypto.keystore import KeyStore
 from repro.sim.network import Message, NodeAddress
@@ -571,8 +573,31 @@ class PbftReplica:
         )
 
 
+class _Round:
+    """One :class:`ModeledPbftGroup` round still in flight: each member
+    live at propose time, its commit instant, and the event-order slot
+    its commit event takes (``first_slot + i`` for ``members[i]``)."""
+
+    __slots__ = ("members", "times", "first_slot", "last", "delivered", "args")
+
+    def __init__(
+        self,
+        members: List[SimNode],
+        times: List[float],
+        first_slot: int,
+        args: Tuple[int, Any, DeferredCertificate],
+    ) -> None:
+        self.members = members
+        self.times = times
+        self.first_slot = first_slot
+        self.last = max(times)
+        #: Members whose commit event is scheduled (at most once each).
+        self.delivered: Set[SimNode] = set()
+        self.args = args
+
+
 class ModeledPbftGroup:
-    """Aggregate PBFT model: same commits, O(n) events per entry.
+    """Aggregate PBFT model: same commits, O(n) work and O(1) events per entry.
 
     The group is driven by :meth:`propose` (call on behalf of the current
     leader). Commit latency reproduces the three LAN phases:
@@ -583,9 +608,16 @@ class ModeledPbftGroup:
        counter), one LAN delay;
     3. commit round: same.
 
-    Each member's callback fires at its own commit time. Crashed members
-    are skipped; if more than f members have crashed the group stalls
-    (matching real PBFT liveness).
+    Every live member has its own commit instant and pays its own CPU, but
+    the commit is *delivered* only where it acts: at the group's leader
+    (the representative, the only member whose commit callback does
+    anything). Each live member's commit takes one event-order slot; the
+    leader's commit fires in the leader's own slot. When leadership
+    changes mid-round, the new leader's commit is scheduled in *its* own
+    slot, if that instant is still ahead — so the commit fires exactly
+    when and where the member would have acted had every member been
+    given an event. Crashed members are skipped; if more than f members
+    have crashed the group stalls (matching real PBFT liveness).
     """
 
     #: Wire size of a prepare/commit/small control message.
@@ -614,6 +646,8 @@ class ModeledPbftGroup:
         #: judge each certificate against the view it was formed in.
         self.epoch = 0
         self._subscribers: Dict[NodeAddress, CommitCallback] = {}
+        #: Rounds whose last commit instant has not passed, oldest first.
+        self._rounds: Deque[_Round] = deque()
         for node in self.nodes:
             keystore.register(node.addr)
             node.cpu.rate = self.costs.cpu_cores
@@ -639,12 +673,14 @@ class ModeledPbftGroup:
         for _ in range(self.n):
             self.leader_index = (self.leader_index + 1) % self.n
             if not self.leader.crashed:
+                self._deliver_in_flight()
                 return
         raise RuntimeError("no live member to lead the group")
 
     def set_leader(self, node: SimNode) -> None:
         """Move leadership to a specific member (deliberate re-placement)."""
         self.leader_index = self.nodes.index(node)
+        self._deliver_in_flight()
 
     def add_member(self, node: SimNode) -> None:
         """Admit a caught-up joiner; quorum recomputes from the new size.
@@ -676,9 +712,12 @@ class ModeledPbftGroup:
         self.nodes.remove(node)
         self._subscribers.pop(node.addr, None)
         self.leader_index = self.nodes.index(leader) if self.nodes else 0
+        if self.nodes:
+            self._deliver_in_flight()
 
     def subscribe(self, addr: NodeAddress, callback: CommitCallback) -> None:
-        """Register a per-node commit callback."""
+        """Register a per-node commit callback: it fires at the node's own
+        commit instant of each round, if the node leads the group then."""
         self._subscribers[addr] = callback
 
     def live_members(self) -> List[SimNode]:
@@ -702,41 +741,75 @@ class ModeledPbftGroup:
         dig = value_digest(value)
         lan_latency = self.network.lan_latency
         lan_bw = self.network.lan_bandwidth
+        now = self.sim.now
 
         # Phase 1: leader pushes the value to n-1 members over its LAN NIC.
         bits = size * 8 * (self.n - 1)
-        _, tx_done = self.network._lan_up[leader.addr].acquire(self.sim.now, bits)
+        _, tx_done = self.network._lan_up[leader.addr].acquire(now, bits)
         self.network.lan_bytes_total += size * (self.n - 1)
         arrive = tx_done + lan_latency
 
         # Every member verifies the value (tx signatures): CPU-queued work.
         verify = self.costs.value_verify_seconds(value)
         phases = 1 if skip_prepare else 2
-        small_round = lan_latency + self.SMALL_MSG * 8 / lan_bw
+        tail = phases * (lan_latency + self.SMALL_MSG * 8 / lan_bw)
         self.network.lan_bytes_total += phases * self.n * (self.n - 1) * self.SMALL_MSG
 
         cert = self._make_certificate(seq, dig)
+        times = []
         for node in live:
-            ready = arrive if node is not leader else self.sim.now
+            ready = arrive if node is not leader else now
             _, cpu_done = node.cpu.acquire(ready, verify)
-            commit_time = cpu_done + phases * small_round
-            self.sim.schedule_at(
-                commit_time, self._deliver_commit, node, seq, value, cert
-            )
+            times.append(cpu_done + tail)
+        round_ = _Round(
+            live, times, self.sim.reserve_slots(len(live)), (seq, value, cert)
+        )
+        rounds = self._rounds
+        while rounds and rounds[0].last < now:
+            rounds.popleft()
+        rounds.append(round_)
+        self._schedule_commit(round_, leader)
         return seq
 
-    def _make_certificate(self, seq: int, dig: bytes) -> QuorumCertificate:
+    def _deliver_in_flight(self) -> None:
+        """Give a new leader the commits of the rounds still in flight."""
+        leader = self.leader
+        for round_ in self._rounds:
+            self._schedule_commit(round_, leader)
+
+    def _schedule_commit(self, round_: _Round, node: SimNode) -> None:
+        """Schedule ``node``'s commit of ``round_`` at its own instant and
+        in its own slot — unless already scheduled, the node was not live
+        at propose time, or that ``(time, slot)`` has already passed."""
+        if node in round_.delivered:
+            return
+        try:
+            i = round_.members.index(node)
+        except ValueError:
+            return
+        at, slot = round_.times[i], round_.first_slot + i
+        if (at, slot) <= self.sim.position:
+            return
+        round_.delivered.add(node)
+        self.sim.schedule_reserved(
+            at, slot, self._deliver_commit, node, *round_.args
+        )
+
+    def _make_certificate(self, seq: int, dig: bytes) -> DeferredCertificate:
         statement = f"{self.instance}:commit:{seq}:".encode("utf-8") + dig
-        signatures = {
-            node.addr: self.keystore.sign_as(node.addr, statement)
-            for node in self.nodes[: self.quorum]
-        }
-        return QuorumCertificate.assemble(statement, signatures, epoch=self.epoch)
+        return DeferredCertificate(
+            self.keystore,
+            statement,
+            [node.addr for node in self.nodes[: self.quorum]],
+            epoch=self.epoch,
+        )
 
     def _deliver_commit(
-        self, node: SimNode, seq: int, value: Any, cert: QuorumCertificate
+        self, node: SimNode, seq: int, value: Any, cert: DeferredCertificate
     ) -> None:
-        if node.crashed:
+        # A commit scheduled for a leader that has since lost the lead
+        # (or crashed) is not delivered.
+        if node.crashed or node is not self.leader:
             return
         callback = self._subscribers.get(node.addr)
         if callback is not None:

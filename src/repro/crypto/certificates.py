@@ -10,7 +10,7 @@ binding a different entry to the same (group, sequence) slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable as HashableKey, Iterable, Tuple
+from typing import Dict, Hashable as HashableKey, Iterable, Optional, Tuple
 
 from repro.crypto.keystore import KeyStore
 from repro.crypto.signatures import SIGNATURE_SIZE, Signature
@@ -75,3 +75,73 @@ class QuorumCertificate:
             self.statement, self.signatures, allowed_signers
         )
         return valid is not None and valid >= quorum
+
+
+class DeferredCertificate:
+    """A :class:`QuorumCertificate` whose signatures are made on first read.
+
+    Forming the certificate fixes what it certifies: the statement, the
+    signer identities and the epoch. The HMACs are computed, by the same
+    keystore, the first time anything reads the certificate
+    (:attr:`signatures`, :attr:`signers`, :attr:`signer_count`,
+    :attr:`size_bytes` or :meth:`verify`), so the result equals the
+    eagerly assembled certificate field for field — see :meth:`signed`.
+    A certificate nothing reads is never signed.
+    """
+
+    __slots__ = ("statement", "epoch", "_keystore", "_signers", "_signed")
+
+    def __init__(
+        self,
+        keystore: KeyStore,
+        statement: bytes,
+        signers: Iterable[HashableKey],
+        epoch: int = 0,
+    ) -> None:
+        self.statement = statement
+        self.epoch = epoch
+        self._keystore = keystore
+        self._signers = tuple(signers)
+        self._signed: Optional[QuorumCertificate] = None
+
+    def signed(self) -> QuorumCertificate:
+        """The signed certificate (signing it now if nothing has yet)."""
+        cert = self._signed
+        if cert is None:
+            keystore, statement = self._keystore, self.statement
+            cert = self._signed = QuorumCertificate.assemble(
+                statement,
+                {s: keystore.sign_as(s, statement) for s in self._signers},
+                epoch=self.epoch,
+            )
+        return cert
+
+    @property
+    def signatures(self) -> Tuple[Tuple[HashableKey, Signature], ...]:
+        return self.signed().signatures
+
+    @property
+    def signers(self) -> Tuple[HashableKey, ...]:
+        return self.signed().signers
+
+    @property
+    def signer_count(self) -> int:
+        return self.signed().signer_count
+
+    @property
+    def size_bytes(self) -> int:
+        return self.signed().size_bytes
+
+    def verify(
+        self,
+        keystore: KeyStore,
+        quorum: int,
+        allowed_signers: Iterable[HashableKey] = (),
+    ) -> bool:
+        return self.signed().verify(keystore, quorum, allowed_signers)
+
+    # The value is fixed at formation, so sharing the object is a correct
+    # deep copy. It also keeps ``dataclasses.asdict`` of an event carrying
+    # it (which deep-copies non-dataclass fields) from cloning the keystore.
+    def __deepcopy__(self, memo: dict) -> "DeferredCertificate":
+        return self

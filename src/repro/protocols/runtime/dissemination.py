@@ -53,10 +53,6 @@ def build_transport(
     )
 
 
-def _noop() -> None:
-    return None
-
-
 class DisseminationStage:
     """Deployment-wide transport driver and availability hub."""
 
@@ -82,9 +78,7 @@ class DisseminationStage:
         entry = deployment.entries.get(entry_id)
         if entry is not None and not node.is_observer:
             # Every replica executes; non-observers only pay the CPU.
-            node.consume_cpu(
-                deployment.costs.execute_seconds(entry.tx_count), _noop
-            )
+            node.charge_cpu(deployment.costs.execute_seconds(entry.tx_count))
         if node.orderer is not None and isinstance(
             node.orderer, DeterministicOrderer
         ):

@@ -440,7 +440,9 @@ class RaftGlobalPhase(TakeoverMixin, GlobalPhase):
         self._on_slot_committed(slot)
         # Notify group members (round ordering feeds on this).
         notice = LocalCommitNotice(gid=instance, seq=seq)
-        node.broadcast_local(notice, notice.size_bytes)
+        node.broadcast_local(
+            notice, notice.size_bytes, deliver_to=self.group.commit_readers
+        )
         self._local_commit_at(node, instance, seq, slot)
 
     def _local_commit_at(self, node, instance: int, seq: int, slot: int) -> None:
@@ -570,7 +572,9 @@ class RaftGlobalPhase(TakeoverMixin, GlobalPhase):
         for assigner, g, s, t in assignments:
             self.archive.setdefault(assigner, {}).setdefault((g, s), t)
         notice = LocalTsNotice(assignments=tuple(assignments))
-        node.broadcast_local(notice, notice.size_bytes)
+        node.broadcast_local(
+            notice, notice.size_bytes, deliver_to=self.group.ts_readers
+        )
         node.apply_ts_assignments(notice.assignments)
 
     def _streams(self) -> List[Tuple[int, List[TsAssignment], int]]:

@@ -12,7 +12,7 @@ counter, group clock, execution watermark). The pre-refactor monolithic
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import FrozenSet, List, Optional
 
 from repro.core.entry import EntryId, LogEntry
 from repro.core.vts import GroupClock
@@ -39,6 +39,10 @@ class GroupRuntime:
         self.next_seq = 0  # local sequence of the last proposed entry
         self.last_own_committed = 0
         self.last_executed_round = 0
+        #: Members whose orderer reads a LocalTsNotice / LocalCommitNotice;
+        #: the notices reach only them (set by the ordering stage).
+        self.ts_readers: FrozenSet = frozenset()
+        self.commit_readers: FrozenSet = frozenset()
         # Stages.
         self.local = LocalConsensusStage(self)
         self.pbft = self.local.pbft

@@ -1,7 +1,9 @@
 """Local consensus stage: per-group PBFT and commit dispatch.
 
 Wraps :class:`repro.consensus.pbft.ModeledPbftGroup` for one group and
-routes its commit callbacks: freshly certified :class:`LogEntry` values
+routes its commit callbacks, which act only at the group representative
+(the PBFT leader, the one member the model delivers a commit to):
+freshly certified :class:`LogEntry` values
 go to the dissemination stage and then the global phase; certified
 :class:`AcceptValue`/:class:`CommitValue` receipts (the accept- and
 commit-phase local rounds of Section II-A) go straight to the global
@@ -81,8 +83,9 @@ class LocalConsensusStage:
         if not group.is_rep(node):
             return
         # Nothing subscribes to ValueCertified in an untraced run (the
-        # metrics bridge ignores it); skip the event construction — and
-        # the quorum lookup feeding it — unless a tracer wants it.
+        # metrics bridge ignores it); skip the event construction, the
+        # quorum lookup feeding it and — since nothing else reads the
+        # certificate — its signing, unless a tracer or checker wants it.
         if not group.deployment.bus.wants(ValueCertified):
             return
         # Quorum is epoch-scoped: a certificate formed just before a

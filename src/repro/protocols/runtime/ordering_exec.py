@@ -17,10 +17,6 @@ from repro.ledger.execution import AriaExecutor, ExecutionPipeline
 from repro.protocols.runtime.events import EntryExecuted
 
 
-def _noop() -> None:
-    return None
-
-
 class SequenceOrderer:
     """Steward's ordering: execute entries in global slot order."""
 
@@ -78,6 +74,19 @@ class OrderingExecStage:
                     )
                 else:
                     node.orderer = SequenceOrderer(on_execute)
+            # Orderers are assigned here once and joiners never get one,
+            # so the members that read each LAN notice (GeoNode's
+            # _on_local_ts / on_global_commit) are fixed for the run.
+            group.ts_readers = frozenset(
+                n.addr
+                for n in group.members
+                if isinstance(n.orderer, DeterministicOrderer)
+            )
+            group.commit_readers = frozenset(
+                n.addr
+                for n in group.members
+                if isinstance(n.orderer, RoundBasedOrderer)
+            )
 
     def make_execute_callback(self, node):
         deployment = self.deployment
@@ -89,8 +98,7 @@ class OrderingExecStage:
             if node.ledger is not None:
                 node.ledger.append(entry)
             result = node.pipeline.execute_entry(entry.batch)
-            cost = deployment.costs.execute_seconds(entry.tx_count)
-            node.consume_cpu(cost, _noop)
+            node.charge_cpu(deployment.costs.execute_seconds(entry.tx_count))
             deployment.groups[node.gid].note_executed_round(entry_id)
             # Measure once, at the origin group's first observer.
             if node.gid == entry_id.gid and node.index == self.observer_index(

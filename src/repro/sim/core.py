@@ -8,6 +8,7 @@ events injected by :class:`repro.sim.network.Network`.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Optional, Tuple
 
 from repro.sim.events import Event, EventQueue
@@ -21,14 +22,23 @@ class SimulationBudgetExceeded(RuntimeError):
     livelocked protocol, and a silent partial run masks it as "idle".
     """
 
+    #: Handlers named in the message (all of them are in ``pending``).
+    SHOWN = 5
+
     def __init__(
-        self, max_events: int, pending_time: float, control_epoch: int = 0
+        self,
+        max_events: int,
+        pending_time: float,
+        control_epoch: int = 0,
+        pending: Tuple[Tuple[str, int], ...] = (),
     ) -> None:
+        shown = ", ".join(f"{name} x{count}" for name, count in pending[: self.SHOWN])
         super().__init__(
             f"event budget of {max_events} events exhausted with live events "
             f"still pending (earliest at t={pending_time:.6f}s, control "
             f"epoch {control_epoch}); raise max_events or fix the runaway "
             f"event source"
+            + (f"; pending by handler: {shown}" if shown else "")
         )
         self.max_events = max_events
         self.pending_time = pending_time
@@ -37,6 +47,23 @@ class SimulationBudgetExceeded(RuntimeError):
         #: controller needs to know whether an actuation was in flight;
         #: 0 means no controller ever actuated.
         self.control_epoch = control_epoch
+        #: Live pending events tallied by handler (see
+        #: :func:`handler_name`), most frequent first.
+        self.pending = pending
+
+
+def handler_name(callback: Callable[..., None], args: Tuple[Any, ...]) -> str:
+    """What an event runs, for diagnostics: the callback's qualified name;
+    a timer's own callback rather than its ``Timer._fire``; and a message
+    delivery split by payload type (``Network._deliver[GRAccept]``)."""
+    owner = getattr(callback, "__self__", None)
+    if isinstance(owner, Timer):
+        return f"Timer({handler_name(owner._callback, ())})"
+    name = getattr(callback, "__qualname__", type(callback).__name__)
+    payload = getattr(args[0], "payload", None) if args else None
+    if payload is not None:
+        name += f"[{type(payload).__name__}]"
+    return name
 
 
 class Timer:
@@ -251,7 +278,8 @@ class Simulator:
 
         Raises :class:`SimulationBudgetExceeded` when the budget drains
         with live events still queued — a silent partial drain here has
-        historically masked runaway timer loops as clean completions.
+        historically masked runaway timer loops as clean completions. The
+        error names the pending events by handler.
         """
         before = self.events_processed
         end = self.run(max_events=max_events)
@@ -259,6 +287,16 @@ class Simulator:
             pending = self._queue.peek_time()
             if pending is not None:
                 raise SimulationBudgetExceeded(
-                    max_events, pending, self.control_epoch
+                    max_events, pending, self.control_epoch, self.pending_by_handler()
                 )
         return end
+
+    def pending_by_handler(self) -> Tuple[Tuple[str, int], ...]:
+        """Live pending events tallied by :func:`handler_name`, most
+        frequent first (ties by name)."""
+        tally = Counter(
+            handler_name(event.callback, event.args)
+            for _, _, event in self._queue._heap
+            if not event.cancelled
+        )
+        return tuple(sorted(tally.items(), key=lambda item: (-item[1], item[0])))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.core import Simulator
 from repro.sim.monitor import StatMonitor
@@ -520,6 +520,7 @@ class Network:
         payload: Any,
         size_bytes: int,
         include_self: bool = False,
+        deliver_to: Optional[Collection[NodeAddress]] = None,
     ) -> int:
         """Send ``payload`` to every member of ``group``; returns fan-out.
 
@@ -529,6 +530,13 @@ class Network:
         per-destination ``ResourceQueue.acquire`` calls (and any loss/jitter
         RNG draws) still happen in the exact same order as N ``send`` calls,
         so delivery times stay bit-identical.
+
+        ``deliver_to`` (intra-group only) names the receivers whose handler
+        reads ``payload``. Every receiver is still charged — NIC time, LAN
+        bytes, message ids, loss/jitter draws and event-order slots — but
+        only those named get a delivery event, in the slot it would have
+        had. For a payload the other members provably ignore, their
+        arrivals are not events at all.
         """
         if src.group != group or src not in self._handlers:
             # Cross-group (or unregistered-sender error path): per-message
@@ -545,14 +553,30 @@ class Network:
         msg_id = self._next_msg_id
         receivers, arrivals = self.lan_burst(src, size_bytes, include_self)
         deliver = self._deliver
-        schedule_at = self.sim.schedule_at_volatile
+        if deliver_to is None:
+            schedule_at = self.sim.schedule_at_volatile
+            for addr, deliver_at in zip(receivers, arrivals):
+                if deliver_at is not None:
+                    schedule_at(
+                        deliver_at,
+                        deliver,
+                        Message(src, addr, payload, size_bytes, msg_id, now),
+                    )
+                msg_id += 1
+            return len(receivers)
+        slot = self.sim.reserve_slots(len(arrivals) - arrivals.count(None))
+        if not deliver_to:
+            return len(receivers)
         for addr, deliver_at in zip(receivers, arrivals):
             if deliver_at is not None:
-                schedule_at(
-                    deliver_at,
-                    deliver,
-                    Message(src, addr, payload, size_bytes, msg_id, now),
-                )
+                if addr in deliver_to:
+                    self.sim.schedule_reserved(
+                        deliver_at,
+                        slot,
+                        deliver,
+                        Message(src, addr, payload, size_bytes, msg_id, now),
+                    )
+                slot += 1
             msg_id += 1
         return len(receivers)
 

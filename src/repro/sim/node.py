@@ -9,7 +9,7 @@ fault-tolerance experiments.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Type
+from typing import Any, Callable, Collection, Dict, Optional, Type
 
 from repro.sim.core import Simulator, Timer
 from repro.sim.network import Message, Network, NodeAddress, ResourceQueue
@@ -95,11 +95,23 @@ class SimNode:
             self.addr, dsts, payload, size_bytes, priority=priority
         )
 
-    def broadcast_local(self, payload: Any, size_bytes: int) -> None:
-        """Send to every other node in this node's own group via LAN."""
+    def broadcast_local(
+        self,
+        payload: Any,
+        size_bytes: int,
+        deliver_to: Optional[Collection[NodeAddress]] = None,
+    ) -> None:
+        """Send to every other node in this node's own group via LAN.
+
+        ``deliver_to`` names the receivers that read the payload (see
+        :meth:`repro.sim.network.Network.broadcast_group`); every member
+        is charged either way.
+        """
         if self.crashed:
             return
-        self.network.broadcast_group(self.addr, self.addr.group, payload, size_bytes)
+        self.network.broadcast_group(
+            self.addr, self.addr.group, payload, size_bytes, deliver_to=deliver_to
+        )
 
     # ------------------------------------------------------------------
     # Compute model
@@ -121,6 +133,20 @@ class SimNode:
             return
         _, finish = self.cpu.acquire(self.sim.now, seconds)
         self.sim.schedule_at_volatile(finish, self._run_if_alive, then)
+
+    def charge_cpu(self, seconds: float) -> None:
+        """Queue ``seconds`` of CPU work that nothing waits on.
+
+        Occupies the CPU queue exactly as :meth:`consume_cpu` does (zero
+        seconds leave it untouched) but schedules no completion event.
+        The order slot that event would have taken is still used up, so
+        every later event keeps the ``(time, seq)`` it would have had.
+        """
+        if seconds < 0:
+            raise ValueError("CPU work must be non-negative")
+        if seconds:
+            self.cpu.acquire(self.sim.now, seconds)
+        self.sim.reserve_slots(1)
 
     def _run_if_alive(self, fn: Callable[[], None]) -> None:
         if not self.crashed:

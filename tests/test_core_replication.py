@@ -20,6 +20,7 @@ from repro.sim.network import LinkQuality, Network, NodeAddress
 from repro.sim.node import SimNode
 from repro.sim.rng import RngRegistry
 from tests.conftest import fast_costs
+from tests.eager_reference import EventLog
 
 
 class Harness:
@@ -634,9 +635,16 @@ class TestThresholdInbox:
 
 
 class TestChunkExchangeScaling:
-    """Guards the O(n) event cost of replicating an entry into a group of
-    n: with one delivery event per shared chunk it was O(n^2), and the
-    32-vs-8 ratio below about 9."""
+    """Guards the event cost of replicating an entry into a group of n.
+    With one delivery event per shared chunk it was O(n^2) (the 32-vs-8
+    ratio about 9); with a commit event per PBFT member, a LAN notice
+    event per member and a no-op per CPU charge it was 196 / 382 / 753
+    events per entry at 8 / 16 / 32 nodes. Only events whose handler acts
+    are scheduled now: the pins below carry about 10% headroom, so one
+    per-member no-op event per round fails them."""
+
+    #: Events per entry measured at 8 / 16 / 32 nodes: 86.9, 150.2, 276.5.
+    PINNED = {8: 96, 16: 165, 32: 305}
 
     @staticmethod
     def _run(nodes_per_group):
@@ -651,14 +659,26 @@ class TestChunkExchangeScaling:
             offered_load=2000.0,
             seed=3,
         )
-        metrics = deployment.run(duration=0.4, warmup=0.1)
+        log = EventLog()
+        with log.recording():
+            metrics = deployment.run(duration=0.4, warmup=0.1)
         assert metrics.committed > 0
-        return deployment, metrics
+        return deployment, log
 
     def test_events_per_entry_grow_at_most_linearly(self):
         per_entry = {}
         for n in (8, 16, 32):
-            deployment, _ = self._run(n)
+            deployment, log = self._run(n)
             per_entry[n] = deployment.sim.events_processed / len(deployment.entries)
+            assert per_entry[n] <= self.PINNED[n]
+            # No leader changes here: no notice reaches a member without a
+            # reading orderer, no commit a non-leader, no charge is an event.
+            assert log.inert == 0
+            # One commit event per local PBFT round (fired or still due).
+            commit = "ModeledPbftGroup._deliver_commit"
+            fired = sum(1 for _, _, name in log.acting if name == commit)
+            due = dict(deployment.sim.pending_by_handler()).get(commit, 0)
+            rounds = sum(g.pbft.next_seq for g in deployment.groups.values())
+            assert fired + due == rounds > 0
         assert per_entry[8] < per_entry[16] < per_entry[32]
         assert per_entry[32] <= 6 * per_entry[8]

@@ -266,6 +266,38 @@ class TestBudgetError:
         assert err.value.pending_time > 0
         assert "runaway" in str(err.value)
 
+    def test_budget_error_names_pending_events_by_handler(self):
+        # A runaway timer that sends a message every tick: the error names
+        # the timer's own callback and the deliveries by payload type.
+        from repro.sim.network import Network, NodeAddress
+
+        class Ping:
+            pass
+
+        sim = Simulator()
+        net = Network(sim, rtt_matrix={(0, 1): 0.050})
+        src, dst = NodeAddress(0, 0), NodeAddress(1, 0)
+        net.register(src, lambda m: None)
+        net.register(dst, lambda m: None)
+
+        def runaway_tick():
+            net.send(src, dst, Ping(), 100)
+
+        sim.set_timer(0.001, runaway_tick, interval=0.001)
+        sim.schedule(5.0, sorted)
+        with pytest.raises(SimulationBudgetExceeded) as err:
+            sim.run_until_idle(max_events=200)
+        pending = dict(err.value.pending)
+        timer = "Timer(TestBudgetError.test_budget_error_names_pending_events_by_handler"
+        timer += ".<locals>.runaway_tick)"
+        assert pending[timer] == 1
+        assert pending["Network._deliver[Ping]"] >= 20
+        assert pending["sorted"] == 1
+        assert err.value.pending[0][0] == "Network._deliver[Ping]"
+        assert sum(pending.values()) == sim.pending_events
+        assert "pending by handler: Network._deliver[Ping] x" in str(err.value)
+        assert timer in str(err.value)
+
     def test_clean_drain_does_not_raise(self):
         sim = Simulator()
         hits = []

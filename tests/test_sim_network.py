@@ -493,6 +493,47 @@ class TestBroadcastFastPath:
         assert len(receivers) == 3 and len(arrivals) == 0
         assert net.lan_bytes_total == 0 and net._next_msg_id == 1
 
+    @pytest.mark.parametrize("loss,jitter", [(0.0, 0.0), (0.03, 0.005)])
+    def test_deliver_to_schedules_only_the_named_receivers(self, loss, jitter):
+        # Every receiver is charged (NIC, bytes, ids, RNG draws, order
+        # slots); only the named ones get their delivery, at the same
+        # (time, seq) and with the same message as a full broadcast.
+        named = {NodeAddress(0, 2), NodeAddress(0, 7)}
+
+        def run(deliver_to):
+            sim = Simulator()
+            net = Network(
+                sim,
+                rtt_matrix={(0, 1): 0.030},
+                lan_quality=LinkQuality(loss_probability=loss, jitter=jitter),
+                rng=RngRegistry(5),
+            )
+            got = []
+            for index in range(9):
+                net.register(
+                    NodeAddress(0, index),
+                    lambda m: got.append(
+                        (sim.position, repr(m.dst), m.msg_id, m.sent_at)
+                    ),
+                )
+            for turn in range(20):
+                fanout = net.broadcast_group(
+                    NodeAddress(0, turn % 9), 0, "x", 5_000, deliver_to=deliver_to
+                )
+                assert fanout == 8
+            sim.run_until_idle()
+            state = (net.lan_bytes_total, net._next_msg_id, net._rng.random())
+            return got, state, sim.reserve_slots(0), sim.events_processed
+
+        full, full_state, full_seq, full_events = run(None)
+        some, some_state, some_seq, some_events = run(named)
+        none, none_state, none_seq, none_events = run(frozenset())
+        assert some == [row for row in full if row[1] in map(repr, named)]
+        assert none == [] and none_events == 0
+        assert full_state == some_state == none_state
+        assert full_seq == some_seq == none_seq
+        assert 0 < some_events < full_events
+
     def test_jittered_broadcast_matches_send_loop(self):
         # Jitter forces the stochastic path; with identical seeds it must
         # draw the RNG in the same per-receiver order as N sends.

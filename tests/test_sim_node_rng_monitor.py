@@ -123,6 +123,29 @@ class TestSimNode:
         node = SimNode(sim, net, NodeAddress(0, 0))
         with pytest.raises(ValueError):
             node.consume_cpu(-1.0, lambda: None)
+        with pytest.raises(ValueError):
+            node.charge_cpu(-1.0)
+
+    def test_charge_cpu_queues_like_consume_cpu_without_an_event(self):
+        # Same CPU queue and the same order slot as a continuation-less
+        # consume_cpu; nothing to run, so nothing scheduled.
+        def run(charge):
+            sim = Simulator()
+            node = SimNode(sim, Network(sim, rtt_matrix={}), NodeAddress(0, 0))
+            for seconds in (0.5, 0.0, 0.25):
+                charge(node, seconds)
+            done = []
+            node.consume_cpu(1.0, lambda: done.append(sim.position))
+            cpu = (node.cpu.next_free, node.cpu.busy_time, node.cpu.jobs)
+            pending = sim.pending_events
+            sim.run_until_idle()
+            return cpu, pending, done
+
+        charged = run(lambda node, s: node.charge_cpu(s))
+        consumed = run(lambda node, s: node.consume_cpu(s, lambda: None))
+        assert charged[0] == consumed[0] == (1.75, 1.75, 3)
+        assert (charged[1], consumed[1]) == (1, 4)
+        assert charged[2] == consumed[2] == [(1.75, 3)]
 
 
 class TestRng:
