@@ -9,10 +9,11 @@ feed the Fig 10 traffic comparison.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional
 
 from repro.core.entry import EntryId
-from repro.sim.monitor import Histogram, TimeSeries
+from repro.sim.monitor import Histogram, RowSeries
 
 #: Entry lifecycle phases stamped by the deployment, in order.
 ENTRY_PHASES = (
@@ -33,10 +34,20 @@ class RunMetrics:
         self.committed = 0
         self.aborted_attempts = 0
         self.committed_by_group = [0] * n_groups
-        self.latency = Histogram("txn_latency")
-        self.latency_by_group = [Histogram(f"latency_g{g}") for g in range(n_groups)]
-        self.throughput_timeline = TimeSeries("throughput")
-        self.latency_timeline = TimeSeries("latency")
+        # One row per executed entry (post-warmup): its commit instant
+        # and the end offset of its transactions' latencies in the flat
+        # float64 column. The latency histogram and both timelines are
+        # views over these columns.
+        self.row_times = array("d")
+        self.row_ends = array("q")
+        self.latencies = array("d")
+        self.latency = Histogram("txn_latency", self.latencies)
+        self.throughput_timeline = RowSeries(
+            "throughput", self.row_times, self.row_ends
+        )
+        self.latency_timeline = RowSeries(
+            "latency", self.row_times, self.row_ends, self.latencies
+        )
         self.entry_stamps: Dict[EntryId, Dict[str, float]] = {}
         self.entry_batch_waits: List[float] = []
         self.batch_sizes = Histogram("batch_size")
@@ -71,48 +82,23 @@ class RunMetrics:
     # Recording (called by the deployment)
     # ------------------------------------------------------------------
 
-    def record_commit(self, created_at: float, now: float, gid: int) -> None:
-        """One transaction executed at its origin group's observer.
-
-        Called once per committed transaction (hundreds of thousands per
-        run), so it appends to the histogram/timeseries sample lists
-        directly instead of going through ``observe``/``record``.
-        """
-        if now < self.warmup:
-            return
-        self.committed += 1
-        self.committed_by_group[gid] += 1
-        latency = now - created_at
-        hist = self.latency
-        hist.samples.append(latency)
-        hist._sorted = False
-        hist = self.latency_by_group[gid]
-        hist.samples.append(latency)
-        hist._sorted = False
-        self.throughput_timeline.points.append((now, 1.0))
-        self.latency_timeline.points.append((now, latency))
-
     def record_commits(self, commit_times, now: float, gid: int) -> None:
-        """Batch form of :meth:`record_commit` for one executed entry.
+        """One entry executed at its origin group's observer, at ``now``;
+        ``commit_times`` are the ``created_at`` stamps of the
+        transactions it committed.
 
-        One warmup check and one set of attribute lookups cover the whole
-        entry; samples land in the same order with the same values as the
-        per-transaction calls.
+        Stores one row: 8 B per transaction for its latency, plus the
+        row's instant and end offset.
         """
         if now < self.warmup or not commit_times:
             return
         n = len(commit_times)
         self.committed += n
         self.committed_by_group[gid] += n
-        hist = self.latency
-        group_hist = self.latency_by_group[gid]
-        latencies = [now - created_at for created_at in commit_times]
-        hist.samples.extend(latencies)
-        hist._sorted = False
-        group_hist.samples.extend(latencies)
-        group_hist._sorted = False
-        self.throughput_timeline.points.extend([(now, 1.0)] * n)
-        self.latency_timeline.points.extend([(now, lat) for lat in latencies])
+        latencies = self.latencies
+        latencies.extend([now - created_at for created_at in commit_times])
+        self.row_times.append(now)
+        self.row_ends.append(len(latencies))
 
     def record_aborts(self, count: int, now: float) -> None:
         if now >= self.warmup:
@@ -167,9 +153,7 @@ class RunMetrics:
         hists = self.tenant_latency
         for created_at, tenant in zip(commit_times, tenants):
             committed[tenant] += 1
-            hist = hists[tenant]
-            hist.samples.append(now - created_at)
-            hist._sorted = False
+            hists[tenant].observe(now - created_at)
 
     def stamp(self, entry_id: EntryId, phase: str, now: float) -> None:
         """Record a lifecycle timestamp for an entry."""

@@ -17,7 +17,7 @@
 * :mod:`repro.core.protocol` — the assembled MassBFT deployment.
 """
 
-from repro.core.entry import EntryId, LogEntry
+from repro.core.entry import EntryId, EntryReleased, LogEntry
 from repro.core.ordering import DeterministicOrderer, RoundBasedOrderer
 from repro.core.rebuild import OptimisticRebuilder, RebuildResult
 from repro.core.transfer_plan import TransferPlan, generate_transfer_plan
@@ -26,6 +26,7 @@ from repro.core.vts import GroupClock, VectorTimestamp
 __all__ = [
     "DeterministicOrderer",
     "EntryId",
+    "EntryReleased",
     "GroupClock",
     "LogEntry",
     "OptimisticRebuilder",

@@ -10,8 +10,6 @@ that run in size-only mode synthesize a compact payload but keep
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Collection, NamedTuple, Optional, Tuple
 
 from repro.crypto.hashing import digest
@@ -27,7 +25,18 @@ class EntryId(NamedTuple):
         return f"e{self.gid},{self.seq}"
 
 
-@dataclass
+class EntryReleased(RuntimeError):
+    """An entry's batch was read after :meth:`LogEntry.release`."""
+
+    def __init__(self, entry_id: EntryId, released_at: float) -> None:
+        super().__init__(
+            f"entry {entry_id!r} released its batch at t={released_at:.6f} s, "
+            "once every live observer had executed it"
+        )
+        self.entry_id = entry_id
+        self.released_at = released_at
+
+
 class LogEntry:
     """A batch of transactions certified and replicated as one unit.
 
@@ -37,14 +46,44 @@ class LogEntry:
     ``payload`` holds their serialized bytes (what actually travels and is
     erasure-coded). ``declared_size`` lets simulations decouple the wire
     size from the (possibly compacted) in-memory payload.
+
+    Once every live observer has executed the entry, :meth:`release`
+    drops the batch (and the conflict plan cached on it); ``tx_count``,
+    ``size_bytes``, ``digest`` and ``payload`` stay readable.
     """
 
-    gid: int
-    seq: int
-    payload: bytes
-    batch: Collection[Any] = ()
-    created_at: float = 0.0
-    declared_size: Optional[int] = None
+    __slots__ = (
+        "gid",
+        "seq",
+        "payload",
+        "created_at",
+        "declared_size",
+        "tx_count",
+        "released_at",
+        "_batch",
+        "_digest",
+    )
+
+    def __init__(
+        self,
+        gid: int,
+        seq: int,
+        payload: bytes,
+        batch: Collection[Any] = (),
+        created_at: float = 0.0,
+        declared_size: Optional[int] = None,
+    ) -> None:
+        self.gid = gid
+        self.seq = seq
+        self.payload = payload
+        self.created_at = created_at
+        self.declared_size = declared_size
+        self.tx_count = len(batch)
+        #: Simulated instant of :meth:`release`; ``None`` while the
+        #: batch is held.
+        self.released_at: Optional[float] = None
+        self._batch = batch
+        self._digest: Optional[bytes] = None
 
     @property
     def entry_id(self) -> EntryId:
@@ -58,18 +97,30 @@ class LogEntry:
         return len(self.payload)
 
     @property
+    def batch(self) -> Collection[Any]:
+        if self.released_at is not None:
+            raise EntryReleased(self.entry_id, self.released_at)
+        return self._batch
+
+    @property
     def transactions(self) -> Tuple[Any, ...]:
         return tuple(self.batch)
 
     @property
-    def tx_count(self) -> int:
-        return len(self.batch)
-
-    @cached_property
     def digest(self) -> bytes:
         """Content digest binding gid/seq/payload (what PBFT certifies)."""
-        header = f"entry:{self.gid}:{self.seq}:".encode("utf-8")
-        return digest(header + self.payload)
+        value = self._digest
+        if value is None:
+            header = f"entry:{self.gid}:{self.seq}:".encode("utf-8")
+            value = self._digest = digest(header + self.payload)
+        return value
+
+    def release(self, at: float) -> None:
+        """Drop the batch at simulated instant ``at``; reading
+        :attr:`batch` or :attr:`transactions` afterwards raises
+        :class:`EntryReleased`."""
+        self._batch = None
+        self.released_at = at
 
     def __repr__(self) -> str:
         return (

@@ -9,12 +9,12 @@ origin-group measurement observer.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 from repro.core.entry import EntryId
 from repro.core.ordering import DeterministicOrderer, RoundBasedOrderer
 from repro.ledger.execution import AriaExecutor, ExecutionPipeline
-from repro.protocols.runtime.events import EntryExecuted
+from repro.protocols.runtime.events import EntryExecuted, FaultInjected
 
 
 class SequenceOrderer:
@@ -35,10 +35,22 @@ class SequenceOrderer:
 
 
 class OrderingExecStage:
-    """Deployment-wide observer setup and execution measurement."""
+    """Deployment-wide observer setup and execution measurement.
+
+    Also the executed-everywhere watermark: an entry releases its batch
+    (:meth:`~repro.core.entry.LogEntry.release`) once every live observer
+    has executed it, so what a run keeps of its batches is bounded by
+    the entries in flight, not by its length.
+    """
 
     def __init__(self, deployment) -> None:
         self.deployment = deployment
+        #: Observers not known to have crashed (crashes are permanent).
+        self._live_observers: List = []
+        #: Executions so far, by live observers, of each entry that some
+        #: live observer has not executed yet.
+        self._executions: Dict[EntryId, int] = {}
+        deployment.bus.subscribe(FaultInjected, self._on_fault)
 
     def setup_observers(self, observers: str) -> None:
         deployment = self.deployment
@@ -53,6 +65,7 @@ class OrderingExecStage:
             )
             for node in watchers:
                 node.is_observer = True
+                self._live_observers.append(node)
                 from repro.ledger.ledger import GlobalLedger
 
                 node.ledger = GlobalLedger(deployment.n_groups)
@@ -90,14 +103,16 @@ class OrderingExecStage:
 
     def make_execute_callback(self, node):
         deployment = self.deployment
+        executions = self._executions
 
         def on_execute(entry_id: EntryId) -> None:
             entry = deployment.entries.get(entry_id)
             if entry is None:
                 return
+            batch = entry.batch  # raises EntryReleased before any state moves
             if node.ledger is not None:
                 node.ledger.append(entry)
-            result = node.pipeline.execute_entry(entry.batch)
+            result = node.pipeline.execute_entry(batch)
             node.charge_cpu(deployment.costs.execute_seconds(entry.tx_count))
             deployment.groups[node.gid].note_executed_round(entry_id)
             # Measure once, at the origin group's first observer.
@@ -121,10 +136,37 @@ class OrderingExecStage:
                         tenants,
                     )
                 )
-            # Entries fully executed everywhere could be pruned; keeping
-            # them allows post-run ledger audits in tests.
+            count = executions.get(entry_id, 0) + 1
+            if count >= len(self._live_observers):
+                executions.pop(entry_id, None)
+                entry.release(deployment.sim.now)
+            else:
+                executions[entry_id] = count
 
         return on_execute
+
+    def _on_fault(self, event: FaultInjected) -> None:
+        """Observers a fault has crashed stop holding entries back.
+
+        A crashed observer's executions stop counting; every entry that
+        was waiting on it alone is released now. Its ledger says which
+        entries it executed: each subchain grows in sequence order.
+        """
+        dead = [node for node in self._live_observers if node.crashed]
+        if not dead:
+            return
+        executions = self._executions
+        for node in dead:
+            self._live_observers.remove(node)
+            subchains = node.ledger.subchains
+            for entry_id in executions:
+                if subchains[entry_id.gid].height >= entry_id.seq:
+                    executions[entry_id] -= 1
+        live = len(self._live_observers)
+        entries = self.deployment.entries
+        for entry_id in [e for e, count in executions.items() if count >= live]:
+            del executions[entry_id]
+            entries[entry_id].release(event.at)
 
     def observer_index(self, gid: int) -> int:
         return self.deployment.groups[gid].members[0].index

@@ -13,9 +13,9 @@ class TestRunMetrics:
     def test_throughput_excludes_warmup(self):
         m = RunMetrics(2)
         m.warmup = 1.0
-        m.record_commit(created_at=0.4, now=0.5, gid=0)  # in warmup
+        m.record_commits((0.4,), now=0.5, gid=0)  # in warmup
         for t in range(10):
-            m.record_commit(created_at=1.0 + t / 10, now=1.1 + t / 10, gid=0)
+            m.record_commits((1.0 + t / 10,), now=1.1 + t / 10, gid=0)
         m.end_time = 2.0
         assert m.committed == 10
         assert m.throughput == pytest.approx(10.0)
@@ -23,22 +23,21 @@ class TestRunMetrics:
     def test_latency_stats(self):
         m = RunMetrics(1)
         m.end_time = 1.0
-        for latency in (0.1, 0.2, 0.3):
-            m.record_commit(created_at=0.5 - latency, now=0.5, gid=0)
+        m.record_commits([0.5 - lat for lat in (0.1, 0.2, 0.3)], now=0.5, gid=0)
         assert m.mean_latency == pytest.approx(0.2)
         assert m.p50_latency == pytest.approx(0.2)
 
     def test_group_attribution(self):
         m = RunMetrics(3)
         m.end_time = 1.0
-        m.record_commit(0.0, 0.1, gid=2)
+        m.record_commits((0.0,), 0.1, gid=2)
         assert m.committed_by_group == [0, 0, 1]
         assert m.group_throughput(2) == pytest.approx(1.0)
 
     def test_abort_rate(self):
         m = RunMetrics(1)
         m.end_time = 1.0
-        m.record_commit(0.0, 0.1, gid=0)
+        m.record_commits((0.0,), 0.1, gid=0)
         m.record_aborts(3, now=0.1)
         assert m.abort_rate == pytest.approx(0.75)
 

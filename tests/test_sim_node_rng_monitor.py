@@ -1,5 +1,7 @@
 """Unit tests for SimNode, RNG streams, and stat monitors."""
 
+from array import array
+
 import pytest
 
 from repro.sim.core import Simulator
@@ -229,6 +231,28 @@ class TestMonitors:
         h.observe(0.5)
         assert h.min == 0.5
         assert h.percentile(100) == 3.0
+
+    def test_histogram_sorts_the_same_bits_without_numpy(self, monkeypatch):
+        from repro.sim import monitor
+
+        if monitor._np is None:
+            pytest.skip("numpy unavailable: only the pure-Python sort exists")
+        rng = RngRegistry(3).stream("h")
+        values = [rng.random() for _ in range(500)] + [0.0, -0.0, 0.25, -0.0, 0.0]
+        numpy_sorted = monitor.sorted_column(array("d", values))
+        monkeypatch.setattr(monitor, "_np", None)
+        python_sorted = monitor.sorted_column(array("d", values))
+        # repr tells -0.0 from 0.0: the stable sort keeps their order.
+        assert repr(numpy_sorted) == repr(python_sorted)
+        assert list(python_sorted) == sorted(values)
+
+    def test_histogram_over_a_shared_column_leaves_its_order(self):
+        column = array("d", [3.0, 1.0, 2.0])
+        h = Histogram("h", column)
+        assert (h.p50, h.min, h.max) == (2.0, 1.0, 3.0)
+        assert list(column) == [3.0, 1.0, 2.0]
+        column.append(0.5)  # the owner appends; the next read re-sorts
+        assert h.min == 0.5 and h.count == 4
 
     def test_timeseries_window_sums(self):
         ts = TimeSeries("t")

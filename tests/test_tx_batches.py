@@ -25,7 +25,7 @@ from repro.ledger.execution import AriaExecutor, ExecutionPipeline
 from repro.ledger.state import KVStore
 from repro.ledger.transactions import Transaction, TxBatch, serialize_batch
 from repro.protocols import GeoDeployment, protocol_by_name
-from repro.protocols.runtime.events import ClientArrivals, EntryExecuted
+from repro.protocols.runtime.events import ClientArrivals, EntryBatched, EntryExecuted
 from repro.protocols.runtime.load import ClientLoad
 from repro.topology import nationwide_cluster
 from repro.traffic import (
@@ -699,8 +699,9 @@ class TestPlanIsSharedNotRecomputed:
             observers="all",
             seed=3,
         )
+        batches = capture_batches(deployment)
         deployment.run(duration=0.5, warmup=0.1)
-        planned = [e for e in deployment.entries.values() if e.batch.plan is not None]
+        planned = [batch for batch in batches.values() if batch.plan is not None]
         executions = sum(
             node.pipeline.entries_executed
             for node in deployment.nodes.values()
@@ -761,6 +762,18 @@ def fig08_shaped(**options):
     )
 
 
+def capture_batches(deployment):
+    """Every entry's batch, by entry id, taken as the entry forms: an
+    entry drops its batch once every live observer has executed it."""
+    batches = {}
+
+    def on_batched(event):
+        batches[event.entry_id] = deployment.entries[event.entry_id].batch
+
+    deployment.bus.subscribe(EntryBatched, on_batched)
+    return batches
+
+
 def deep_size(obj, seen):
     """Bytes reachable from ``obj`` (containers, slots, scalars)."""
     if id(obj) in seen:
@@ -778,22 +791,24 @@ def deep_size(obj, seen):
 
 
 class TestNoMaterialisation:
-    def assert_run_stayed_columnar(self, deployment, metrics, transactions_built):
+    def assert_run_stayed_columnar(self, batches, metrics, transactions_built):
         assert metrics.committed > 10_000
         assert not transactions_built
-        entries = list(deployment.entries.values())
-        assert all(entry.batch._txns is None for entry in entries)
-        # What an entry keeps for the run: a few packed/shared columns, the
-        # commit times and the survivors' write map. A Transaction graph is
-        # several hundred bytes per transaction; this must stay well under.
+        batches = list(batches.values())
+        assert all(batch._txns is None for batch in batches)
+        # What a batch holds while its entry is in flight: a few
+        # packed/shared columns, the commit times and the survivors' write
+        # map. A Transaction graph is several hundred bytes per
+        # transaction; this must stay well under.
         seen = set()
-        retained = sum(deep_size(entry.batch, seen) for entry in entries)
-        assert retained / sum(entry.tx_count for entry in entries) < 256
+        retained = sum(deep_size(batch, seen) for batch in batches)
+        assert retained / sum(len(batch) for batch in batches) < 256
 
     def test_modeled_run_builds_no_transaction(self, transactions_built):
         deployment = fig08_shaped()
+        batches = capture_batches(deployment)
         metrics = deployment.run(duration=0.8, warmup=0.2)
-        self.assert_run_stayed_columnar(deployment, metrics, transactions_built)
+        self.assert_run_stayed_columnar(batches, metrics, transactions_built)
 
     def test_flash_crowd_tenant_run_builds_no_transaction(self, transactions_built):
         # A saturating spike: queue remainders, shedding, packed id columns
@@ -809,12 +824,12 @@ class TestNoMaterialisation:
         deployment = fig08_shaped(
             offered_load=spec.offered_load(range(3)), traffic=spec
         )
+        batches = capture_batches(deployment)
         metrics = deployment.run(duration=0.8, warmup=0.2)
         assert metrics.dropped_txns > 0
-        batches = [entry.batch for entry in deployment.entries.values()]
-        assert any(type(batch.tx_ids()) is array for batch in batches)
-        assert all(len(batch.tenants) == len(batch) for batch in batches)
-        self.assert_run_stayed_columnar(deployment, metrics, transactions_built)
+        assert any(type(batch.tx_ids()) is array for batch in batches.values())
+        assert all(len(batch.tenants) == len(batch) for batch in batches.values())
+        self.assert_run_stayed_columnar(batches, metrics, transactions_built)
 
     def test_real_coded_full_execution_builds_no_transaction(
         self, transactions_built
@@ -822,14 +837,16 @@ class TestNoMaterialisation:
         deployment = fig08_shaped(
             offered_load=2_000.0, coding="real", execution="full"
         )
+        batches = capture_batches(deployment)
         metrics = deployment.run(duration=0.4, warmup=0.1)
         assert metrics.committed > 0
         entries = list(deployment.entries.values())
         assert not transactions_built
-        assert entries and all(e.batch._txns is None for e in entries)
+        assert entries and all(batch._txns is None for batch in batches.values())
         # The bytes that travelled and the writes that landed are real.
         assert all(
-            len(e.payload) == e.batch.size_bytes + 4 * e.tx_count for e in entries
+            len(e.payload) == batches[e.entry_id].size_bytes + 4 * e.tx_count
+            for e in entries
         )
         store = deployment.observer_of(0).pipeline.store
         values = [str(value) for _, value in store.scan_prefix("usertable/")]
@@ -844,27 +861,29 @@ class TestNoMaterialisation:
         )
         published = []
         deployment.bus.subscribe(EntryExecuted, published.append)
+        batches = capture_batches(deployment)
         deployment.run(duration=0.4, warmup=0.1)
         assert not transactions_built
-        entries = list(deployment.entries.values())
-        assert {t for entry in entries for t in entry.batch.tenants} == {0, 1, 2}
+        batches = list(batches.values())
+        assert {t for batch in batches for t in batch.tenants} == {0, 1, 2}
         assert published and all(
             len(e.commit_tenants) == len(e.commit_times) for e in published
         )
         assert {t for e in published for t in e.commit_tenants} == {0, 1, 2}
         # Whoever does ask for the objects finds the tenant on them.
-        for entry in entries:
-            assert [tx.tenant for tx in entry.batch] == entry.batch.tenants
-        assert len(transactions_built) == sum(entry.tx_count for entry in entries)
+        for batch in batches:
+            assert [tx.tenant for tx in batch] == batch.tenants
+        assert len(transactions_built) == sum(len(batch) for batch in batches)
 
     def test_poisson_traffic_builds_no_transaction(self, transactions_built):
         spec = TrafficSpec.poisson(8_000.0, n_groups=3)
         deployment = fig08_shaped(
             offered_load=spec.offered_load(range(3)), traffic=spec
         )
+        batches = capture_batches(deployment)
         metrics = deployment.run(duration=0.4, warmup=0.1)
         assert metrics.committed > 3_000 and not transactions_built
-        assert all(e.batch.tenants is None for e in deployment.entries.values())
+        assert all(batch.tenants is None for batch in batches.values())
 
     def test_client_load_batch_materialises_on_iteration_only(
         self, transactions_built
