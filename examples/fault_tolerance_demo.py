@@ -61,7 +61,7 @@ def main() -> None:
 
     failures = deployment.transport.monitor_counters.get("rebuild_failures", 0)
     print(f"\nTampered buckets detected and blacklisted: {failures}")
-    takeover = deployment.groups[1].instances[0].takeover_leader
+    takeover = deployment.groups[1].global_phase.instances[0].takeover_leader
     print(f"Group 0's Raft instance taken over by: group {takeover}")
     print(f"Total committed transactions: {metrics.committed:,}")
 

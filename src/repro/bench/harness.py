@@ -79,8 +79,7 @@ class RunResult:
 class ExperimentRunner:
     """Builds, runs, and summarises deployments for bench files."""
 
-    def __init__(self, default_seed: int = 0) -> None:
-        self.default_seed = default_seed
+    def __init__(self) -> None:
         self.results: List[RunResult] = []
 
     def _make_workload(self, config: RunConfig) -> Workload:
@@ -100,7 +99,7 @@ class ExperimentRunner:
             execution=config.execution,
             observers=config.observers,
             costs=config.costs,
-            seed=config.seed if config.seed else self.default_seed,
+            seed=config.seed,
             **config.overrides,
         )
         if config.setup is not None:

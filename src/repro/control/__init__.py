@@ -24,9 +24,9 @@ the membership-epoch invalidation machinery) and publishes a
 so decisions land in run summaries, trace bundles, and check episodes.
 
 Zero-cost-off: nothing in the runtime imports this package unless a
-controller is explicitly requested (``GeoDeployment(control=...)`` or
-``StageOverrides.control``); controller-off runs are byte-identical to
-a build without the subsystem.
+controller is explicitly requested by policy name
+(``GeoDeployment(control="aimd")``); controller-off runs are
+byte-identical to a build without the subsystem.
 """
 
 from repro.control.policies import (
@@ -50,28 +50,6 @@ __all__ = [
     "SignalCollector",
     "StaticPolicy",
     "TargetPolicy",
-    "attach_controller",
     "policy_by_name",
 ]
 
-
-def attach_controller(deployment, control) -> ControlStage:
-    """Attach a :class:`ControlStage` to a freshly built deployment.
-
-    ``control`` is a policy name (``"static"``, ``"aimd"``,
-    ``"target"``), a :class:`ControlPolicy` instance, or ``True`` for
-    the default adaptive policy. Called by
-    :class:`~repro.protocols.runtime.deployment.GeoDeployment` when its
-    ``control`` argument is not ``None``.
-    """
-    if control is True:
-        policy = policy_by_name("aimd")
-    elif isinstance(control, str):
-        policy = policy_by_name(control)
-    elif isinstance(control, ControlPolicy):
-        policy = control
-    else:
-        raise TypeError(
-            f"control must be a policy name or ControlPolicy, got {control!r}"
-        )
-    return ControlStage(deployment, policy)

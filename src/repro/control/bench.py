@@ -130,7 +130,7 @@ def run_point(
         offered_load=offered_load,
         seed=seed,
         traffic=traffic,
-        control=None if policy == "static-off" else policy,
+        control=policy,
     )
     metrics = deployment.run(duration=duration, warmup=warmup)
     decisions = metrics.control_summary()

@@ -104,7 +104,7 @@ class ControlStage:
         views: Dict[int, KnobView] = {}
         for gid, group in deployment.groups.items():
             stage = group.load_stage
-            load = group.load
+            load = stage.load
             views[gid] = KnobView(
                 max_batch_txns=stage.max_batch_txns,
                 batch_timeout=deployment.batch_timers[gid]._interval,
@@ -179,7 +179,7 @@ class ControlStage:
                 return
             stage.round_window = int(new)
         elif knob == "queue_seconds":
-            load = group.load
+            load = group.load_stage.load
             if load is None:
                 return
             old = float(load.queue_seconds)

@@ -10,7 +10,7 @@ carry digests, certificates, vector-timestamp assignments, quorum
 bookkeeping, and the takeover votes used when a whole group crashes.
 
 The runtime driving these messages lives in
-:class:`repro.protocols.runtime.GroupRuntime`.
+:class:`repro.protocols.runtime.RaftGlobalPhase`.
 """
 
 from __future__ import annotations

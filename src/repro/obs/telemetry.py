@@ -145,7 +145,7 @@ class NicSampler:
                 )
             # Offered-traffic counters (reads of the ClientLoad ledger;
             # cumulative, so overload episodes show as slope changes).
-            load = getattr(group, "load", None)
+            load = group.load_stage.load
             if load is not None:
                 registry.record(
                     f"group/g{gid}/load.offered", now, float(load.offered)

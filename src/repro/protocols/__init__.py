@@ -14,7 +14,6 @@ from repro.protocols.runtime import (
     GeoNode,
     GroupRuntime,
     ProtocolSpec,
-    StageOverrides,
 )
 from repro.protocols.registry import (
     baseline,
@@ -24,7 +23,6 @@ from repro.protocols.registry import (
     iss,
     massbft,
     protocol_by_name,
-    spec_with_overrides,
     steward,
 )
 
@@ -33,8 +31,6 @@ __all__ = [
     "GeoNode",
     "GroupRuntime",
     "ProtocolSpec",
-    "StageOverrides",
-    "spec_with_overrides",
     "baseline",
     "br",
     "ebr",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict
 
-from repro.protocols.runtime.spec import ProtocolSpec, StageOverrides
+from repro.protocols.runtime.spec import ProtocolSpec
 
 
 def massbft(overlap_vts: bool = True) -> ProtocolSpec:
@@ -123,40 +123,18 @@ _FACTORIES = {
 }
 
 
-#: StageOverrides factory slots accepted as keyword overrides.
-_STAGE_SLOTS = ("global_phase", "transport", "orderer", "reconfig")
-
-
-def protocol_by_name(name: str, **overrides) -> ProtocolSpec:
+def protocol_by_name(name: str) -> ProtocolSpec:
     """Resolve a protocol spec from its (case-insensitive) name.
 
-    Keyword ``overrides`` customise the returned spec: plain
-    :class:`ProtocolSpec` fields replace configuration (e.g.
-    ``ordering="round"``), while the stage slots ``global_phase`` /
-    ``transport`` / ``orderer`` install :class:`StageOverrides`
-    factories, swapping whole runtime stages::
-
-        spec = protocol_by_name("massbft", global_phase=MyPhase)
+    Tweak a field with :func:`dataclasses.replace` (which re-validates)
+    or with the factory's own arguments, e.g. ``massbft(overlap_vts=False)``.
     """
     factory = _FACTORIES.get(name.lower())
     if factory is None:
         raise ValueError(
             f"unknown protocol {name!r}; known: {sorted(_FACTORIES)}"
         )
-    spec = factory()
-    if not overrides:
-        return spec
-    return spec_with_overrides(spec, **overrides)
-
-
-def spec_with_overrides(spec: ProtocolSpec, **overrides) -> ProtocolSpec:
-    """A copy of ``spec`` with field and/or stage-factory overrides."""
-    stage_kwargs = {
-        key: overrides.pop(key) for key in _STAGE_SLOTS if key in overrides
-    }
-    if stage_kwargs:
-        overrides["stages"] = StageOverrides(**stage_kwargs)
-    return replace(spec, **overrides)
+    return factory()
 
 
 def feature_table() -> Dict[str, Dict[str, str]]:

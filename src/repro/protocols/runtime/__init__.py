@@ -1,10 +1,10 @@
-"""The layered protocol runtime: pluggable stages wired by a composition root.
+"""The layered protocol runtime: explicit stages wired by a composition root.
 
 Module map (see DESIGN.md for the full tour):
 
 ==================  ====================================================
-``events``          typed event bus + metrics bridge + stage tracing
-``spec``            :class:`ProtocolSpec` / :class:`StageOverrides`
+``events``          typed event bus + metrics bridge
+``spec``            :class:`ProtocolSpec`, the one stage selector
 ``load``            open-loop client load, batching, admission control
 ``local``           per-group PBFT and certified-value dispatch
 ``dissemination``   transport selection + entry availability hub
@@ -33,7 +33,6 @@ from repro.protocols.runtime.events import (
     MetricsBridge,
     ProposalGated,
     QueueDepthsSampled,
-    StageTrace,
 )
 from repro.protocols.runtime.faults import FaultInjector
 from repro.protocols.runtime.global_phase import (
@@ -51,7 +50,7 @@ from repro.protocols.runtime.ordering_exec import (
     SequenceOrderer,
 )
 from repro.protocols.runtime.slots import SlotToken
-from repro.protocols.runtime.spec import ProtocolSpec, StageOverrides
+from repro.protocols.runtime.spec import ProtocolSpec
 from repro.protocols.runtime.values import AcceptValue, CommitValue
 
 __all__ = [
@@ -82,7 +81,5 @@ __all__ = [
     "SequenceOrderer",
     "SerialSlotPhase",
     "SlotToken",
-    "StageOverrides",
-    "StageTrace",
     "build_transport",
 ]

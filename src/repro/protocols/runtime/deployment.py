@@ -31,7 +31,7 @@ from repro.core.replication import DEFAULT_CERT_SIZE
 from repro.costs import CostModel
 from repro.crypto.keystore import KeyStore
 from repro.protocols.runtime.dissemination import DisseminationStage, build_transport
-from repro.protocols.runtime.events import EventBus, MetricsBridge, StageTrace
+from repro.protocols.runtime.events import EventBus, MetricsBridge
 from repro.protocols.runtime.faults import FaultInjector
 from repro.protocols.runtime.global_phase import (
     DirectBroadcastPhase,
@@ -85,30 +85,29 @@ class GeoDeployment:
         wan_backlog_cap: float = 0.12,
         cpu_backlog_cap: float = 0.08,
         traffic: Optional[Any] = None,
-        control: Optional[Any] = None,
+        control: Optional[str] = None,
     ) -> None:
         """``offered_load`` is client transactions/second *per group*;
         ``max_batch_txns`` defaults to one batch-timeout's worth of
         arrivals (so a fast group cannot mask a sync-ordering stall by
         growing its batches without bound).
 
-        ``traffic`` is an optional :class:`repro.traffic.TrafficSpec`
-        (duck-typed: anything with ``process_for(gid, rng)`` and a
-        ``tenants`` attribute works). When given, each group's arrivals
-        come from the spec's process instead of the constant metronome,
-        and tenant attribution/per-tenant metrics are enabled when the
-        spec carries a tenant mix. ``offered_load`` stays the envelope
-        rate used for batch sizing (pass ``traffic.offered_load(...)``).
+        ``traffic`` is an optional :class:`repro.traffic.TrafficSpec`.
+        When given, each group's arrivals come from the spec's process
+        instead of the constant metronome, and tenant
+        attribution/per-tenant metrics are enabled when the spec carries
+        a tenant mix. ``offered_load`` stays the envelope rate used for
+        batch sizing (pass ``traffic.offered_load(...)``).
         When ``traffic`` is ``None`` nothing changes: the runtime never
         imports :mod:`repro.traffic` and runs stay byte-identical.
 
-        ``control`` enables the closed-loop adaptive controller
-        (:mod:`repro.control`): a policy name (``"static"``, ``"aimd"``,
-        ``"target"``), a policy object, or a pre-built
-        :class:`repro.control.ControlStage` factory via
-        ``spec.stages.control``. ``None`` (the default) never imports
-        :mod:`repro.control` and runs stay byte-identical
-        (zero-cost-off)."""
+        ``control`` names the closed-loop adaptive controller's policy
+        (:mod:`repro.control`: ``"static"``, ``"aimd"``, ``"target"``).
+        ``None`` (the default) never imports :mod:`repro.control` and
+        runs stay byte-identical (zero-cost-off).
+
+        Every stage is chosen by ``spec``'s validated strings; there is
+        no other way to swap one."""
         if coding not in ("real", "simulated"):
             raise ValueError(f"unknown coding mode {coding!r}")
         if execution not in ("full", "modeled"):
@@ -120,7 +119,7 @@ class GeoDeployment:
         self.workload = workload
         self.traffic = traffic
         self.tenant_names = None
-        if traffic is not None and getattr(traffic, "tenants", None) is not None:
+        if traffic is not None and traffic.tenants is not None:
             self.tenant_names = traffic.tenants.names
         if isinstance(offered_load, dict):
             self.offered_load = dict(offered_load)
@@ -214,11 +213,7 @@ class GeoDeployment:
                 # Specs may carry per-group tenant mixes (regional
                 # asymmetry); the name universe is validated to match
                 # the base mix so tenant indices stay aligned.
-                tenants_for = getattr(traffic, "tenants_for", None)
-                if tenants_for is not None:
-                    tenants = tenants_for(gid)
-                else:
-                    tenants = traffic.tenants
+                tenants = traffic.tenants_for(gid)
                 load = ClientLoad(
                     workload,
                     rate=self.offered_load[gid],
@@ -246,15 +241,10 @@ class GeoDeployment:
         members_by_gid = {g: list(rt.members) for g, rt in self.groups.items()}
         deliver = lambda node, entry_id: node.on_entry_available(entry_id)
         get_entry = lambda entry_id: self.entries[entry_id]
-        if spec.stages is not None and spec.stages.transport is not None:
-            self.transport = spec.stages.transport(
-                self, members_by_gid, deliver, get_entry
-            )
-        else:
-            self.transport = build_transport(
-                spec, members_by_gid, deliver, get_entry,
-                self.costs, cert_size, coding,
-            )
+        self.transport = build_transport(
+            spec, members_by_gid, deliver, get_entry,
+            self.costs, cert_size, coding,
+        )
         self.dissemination = DisseminationStage(self, self.transport)
 
         # Observers: ordering + execution + measurement.
@@ -272,12 +262,9 @@ class GeoDeployment:
             self.membership.genesis(
                 gid, [m.addr for m in group.members], group.pbft.leader.addr
             )
-        if spec.stages is not None and spec.stages.reconfig is not None:
-            self.reconfig = spec.stages.reconfig(self)
-        else:
-            from repro.protocols.runtime.reconfig import ReconfigStage
+        from repro.protocols.runtime.reconfig import ReconfigStage
 
-            self.reconfig = ReconfigStage(self)
+        self.reconfig = ReconfigStage(self)
 
         # Timers: batching, then each phase's periodic work. Batch-timer
         # handles are kept: the control stage retunes a group's batching
@@ -287,7 +274,7 @@ class GeoDeployment:
             offset = (gid + 1) * 1e-4  # desynchronise group timers slightly
             self.batch_timers[gid] = self.sim.set_timer(
                 batch_timeout + offset,
-                group.on_batch_timer,
+                group.load_stage.on_batch_timer,
                 interval=batch_timeout,
             )
             group.global_phase.install_timers(offset)
@@ -296,12 +283,10 @@ class GeoDeployment:
         # controller requested the runtime never touches repro.control
         # and stays byte-identical to a controller-free build).
         self.control = None
-        if spec.stages is not None and spec.stages.control is not None:
-            self.control = spec.stages.control(self)
-        elif control is not None:
-            from repro.control import attach_controller
+        if control is not None:
+            from repro.control import ControlStage, policy_by_name
 
-            self.control = attach_controller(self, control)
+            self.control = ControlStage(self, policy_by_name(control))
 
     # ------------------------------------------------------------------
     # Stage selection
@@ -309,8 +294,6 @@ class GeoDeployment:
 
     def make_global_phase(self, group: GroupRuntime) -> GlobalPhase:
         """Instantiate the spec's global phase for one group."""
-        if self.spec.stages is not None and self.spec.stages.global_phase:
-            return self.spec.stages.global_phase(group)
         if self.spec.global_consensus == "none":
             return DirectBroadcastPhase(group)
         if self.spec.global_consensus == "serial":
@@ -326,10 +309,6 @@ class GeoDeployment:
 
     def observer_of(self, gid: int) -> GeoNode:
         return self.groups[gid].members[0]
-
-    def attach_trace(self) -> StageTrace:
-        """Subscribe a :class:`StageTrace` to this deployment's bus."""
-        return StageTrace.attach(self.bus)
 
     def attach_tracer(self, **options):
         """Attach a full :class:`repro.obs.Tracer` (spans + telemetry).

@@ -3,12 +3,10 @@
 Every stage publishes what happened to it (an entry was batched, locally
 committed, became available at a remote representative, committed
 globally, executed) instead of reaching into :class:`RunMetrics`
-directly. Two standard subscribers ship with the runtime:
-
-* :class:`MetricsBridge` feeds :class:`repro.bench.metrics.RunMetrics`,
-  so benchmark reporting is just another bus consumer;
-* :class:`StageTrace` records per-entry stage timestamps and queue-depth
-  samples — the instrumentation seam tests and benchmarks assert on.
+directly. :class:`MetricsBridge` feeds
+:class:`repro.bench.metrics.RunMetrics`, so benchmark reporting is just
+another bus consumer; :class:`repro.obs.Tracer` subscribes beside it
+when a run is traced.
 
 Publishing is synchronous and deterministic: handlers run immediately,
 in subscription order, on the simulated thread that published.
@@ -16,7 +14,7 @@ in subscription order, on the simulated thread that published.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple, Type
 
 from repro.bench.metrics import RunMetrics
@@ -338,38 +336,3 @@ class MetricsBridge:
             event.trigger, event.value, event.policy, event.epoch,
         )
 
-
-@dataclass
-class StageTrace:
-    """Per-entry stage timeline + queue-depth samples, for assertions.
-
-    Attach with ``trace = StageTrace.attach(deployment.bus)`` (or use
-    :meth:`GeoDeployment.attach_trace`), run, then inspect
-    ``trace.stamps[entry_id]["local_committed"]`` or
-    ``trace.queue_samples``.
-    """
-
-    stamps: Dict[EntryId, Dict[str, float]] = field(default_factory=dict)
-    queue_samples: List[QueueDepthsSampled] = field(default_factory=list)
-    gated: List[ProposalGated] = field(default_factory=list)
-
-    _STAGE_OF = {
-        EntryBatched: "batched",
-        EntryLocallyCommitted: "local_committed",
-        EntryAvailableRemote: "available_remote",
-        EntryGloballyCommitted: "global_committed",
-        EntryExecuted: "executed",
-    }
-
-    @classmethod
-    def attach(cls, bus: EventBus) -> "StageTrace":
-        trace = cls()
-        for event_type in cls._STAGE_OF:
-            bus.subscribe(event_type, trace._on_stage)
-        bus.subscribe(QueueDepthsSampled, trace.queue_samples.append)
-        bus.subscribe(ProposalGated, trace.gated.append)
-        return trace
-
-    def _on_stage(self, event: Any) -> None:
-        stage = self._STAGE_OF[type(event)]
-        self.stamps.setdefault(event.entry_id, {})[stage] = event.at

@@ -14,8 +14,9 @@ paper's protocol space:
   deployment-wide :class:`SlotToken` so one global slot is in flight at
   a time, committed in slot order.
 
-Custom protocols plug in by passing a ``global_phase`` factory through
-:class:`repro.protocols.runtime.spec.StageOverrides`.
+:meth:`~repro.protocols.runtime.deployment.GeoDeployment.make_global_phase`
+picks one from the spec's ``global_consensus`` string; a new global
+phase is a new string value and its branch there.
 """
 
 from __future__ import annotations
@@ -81,13 +82,6 @@ class GlobalPhase:
 
     def on_commit_certified(self, node, value: CommitValue) -> None:
         """The commit-phase local PBFT round completed."""
-
-    # Periodic work (Raft phases override) ----------------------------
-    def flush_ts_outbox(self) -> None:
-        pass
-
-    def check_instance_liveness(self) -> None:
-        pass
 
 
 class DirectBroadcastPhase(GlobalPhase):

@@ -1,27 +1,27 @@
 """The per-group composition: stages wired together for one group.
 
-A :class:`GroupRuntime` is now a thin facade over the group's stage
-objects — :class:`~repro.protocols.runtime.load.LoadStage`,
-:class:`~repro.protocols.runtime.local.LocalConsensusStage`, and the
-spec-selected :class:`~repro.protocols.runtime.global_phase.GlobalPhase`
-— plus the small amount of genuinely shared group state (local sequence
-counter, group clock, execution watermark). The pre-refactor monolithic
-``GroupRuntime`` API (``try_propose``, ``_window_allows``,
-``instances``, ...) is preserved as delegating members.
+A :class:`GroupRuntime` holds the group's stage objects —
+``load_stage`` (:class:`~repro.protocols.runtime.load.LoadStage`),
+``local`` (:class:`~repro.protocols.runtime.local.LocalConsensusStage`)
+and the spec-selected ``global_phase``
+(:class:`~repro.protocols.runtime.global_phase.GlobalPhase`) — plus the
+small amount of genuinely shared group state (local sequence counter,
+group clock, execution watermark). Callers reach a stage's work through
+the stage itself.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, List, Optional
 
-from repro.core.entry import EntryId, LogEntry
+from repro.core.entry import EntryId
 from repro.core.vts import GroupClock
 from repro.protocols.runtime.load import ClientLoad, LoadStage
 from repro.protocols.runtime.local import LocalConsensusStage
 
 
 class GroupRuntime:
-    """Everything group ``G_i`` does, composed from pluggable stages."""
+    """Everything group ``G_i`` does, composed from its stages."""
 
     def __init__(
         self,
@@ -64,39 +64,6 @@ class GroupRuntime:
 
     def is_rep(self, node) -> bool:
         return node is self.rep
-
-    # ------------------------------------------------------------------
-    # Stage delegation (the pre-refactor GroupRuntime surface)
-    # ------------------------------------------------------------------
-
-    @property
-    def load(self) -> Optional[ClientLoad]:
-        return self.load_stage.load
-
-    @property
-    def instances(self):
-        return self.global_phase.instances
-
-    def on_batch_timer(self) -> None:
-        self.load_stage.on_batch_timer()
-
-    def try_propose(self) -> Optional[LogEntry]:
-        return self.load_stage.try_propose()
-
-    def _window_allows(self) -> bool:
-        return self.load_stage.window_allows()
-
-    def _senders_backlogged(self) -> bool:
-        return self.load_stage.senders_backlogged()
-
-    def _cpu_backlogged(self) -> bool:
-        return self.load_stage.cpu_backlogged()
-
-    def flush_ts_outbox(self) -> None:
-        self.global_phase.flush_ts_outbox()
-
-    def check_instance_liveness(self) -> None:
-        self.global_phase.check_instance_liveness()
 
     # ------------------------------------------------------------------
     # Execution feedback

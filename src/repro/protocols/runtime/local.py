@@ -39,10 +39,6 @@ class LocalConsensusStage:
         """Wire a node that joined after construction into commit dispatch."""
         self.pbft.subscribe(node.addr, self._make_callback(node))
 
-    @property
-    def leader(self):
-        return self.pbft.leader
-
     # ------------------------------------------------------------------
     # Proposals
     # ------------------------------------------------------------------

@@ -48,10 +48,6 @@ class GeoNode(SimNode):
         # representative; other members (and stale reps) ignore them.
         pass
 
-    @property
-    def runtime(self):
-        return self.deployment.groups[self.gid]
-
     def _on_local_ts(self, msg: Message) -> None:
         notice: LocalTsNotice = msg.payload
         self.apply_ts_assignments(notice.assignments)

@@ -50,15 +50,12 @@ class OrderingExecStage:
         #: Executions so far, by live observers, of each entry that some
         #: live observer has not executed yet.
         self._executions: Dict[EntryId, int] = {}
-        deployment.bus.subscribe(FaultInjected, self._on_fault)
+        deployment.bus.subscribe(
+            FaultInjected, lambda event: self.release_crashed(event.at)
+        )
 
     def setup_observers(self, observers: str) -> None:
         deployment = self.deployment
-        override = (
-            deployment.spec.stages.orderer
-            if deployment.spec.stages is not None
-            else None
-        )
         for group in deployment.groups.values():
             watchers = (
                 list(group.members) if observers == "all" else [group.members[0]]
@@ -75,9 +72,7 @@ class OrderingExecStage:
                     deployment.workload.register(executor)
                 node.pipeline = ExecutionPipeline(executor)
                 on_execute = self.make_execute_callback(node)
-                if override is not None:
-                    node.orderer = override(node, deployment, on_execute)
-                elif deployment.spec.ordering == "async":
+                if deployment.spec.ordering == "async":
                     node.orderer = DeterministicOrderer(
                         deployment.n_groups, on_execute, strict=False
                     )
@@ -145,12 +140,14 @@ class OrderingExecStage:
 
         return on_execute
 
-    def _on_fault(self, event: FaultInjected) -> None:
-        """Observers a fault has crashed stop holding entries back.
+    def release_crashed(self, at: float) -> None:
+        """Observers that have crashed stop holding entries back.
 
-        A crashed observer's executions stop counting; every entry that
-        was waiting on it alone is released now. Its ledger says which
-        entries it executed: each subchain grows in sequence order.
+        Runs after every announced fault and after a graceful leaver
+        goes dark. A crashed observer's executions stop counting; every
+        entry that was waiting on it alone is released at ``at``. Its
+        ledger says which entries it executed: each subchain grows in
+        sequence order.
         """
         dead = [node for node in self._live_observers if node.crashed]
         if not dead:
@@ -166,7 +163,7 @@ class OrderingExecStage:
         entries = self.deployment.entries
         for entry_id in [e for e, count in executions.items() if count >= live]:
             del executions[entry_id]
-            entries[entry_id].release(event.at)
+            entries[entry_id].release(at)
 
     def observer_index(self, gid: int) -> int:
         return self.deployment.groups[gid].members[0].index

@@ -27,9 +27,8 @@ Every membership change appends a view to the deployment's
 into the group's PBFT instance, so certificates formed on either side of
 the boundary validate against the epoch they were formed in.
 
-The stage is composed through the ``reconfig`` slot of
-:class:`~repro.protocols.runtime.spec.StageOverrides`; protocols may
-substitute their own implementation without touching the runtime.
+:class:`~repro.protocols.runtime.deployment.GeoDeployment` builds one
+stage per deployment and every protocol spec shares it.
 """
 
 from __future__ import annotations
@@ -164,7 +163,7 @@ class ReconfigStage:
         # controller accumulated for this group predate the new member).
         self.sim.schedule_at(
             done, self._promote, gid, node,
-            getattr(deployment, "control_epoch", 0),
+            deployment.control_epoch,
         )
 
     def _promote(self, gid: int, node: GeoNode, control_epoch: int = 0) -> None:
@@ -186,9 +185,7 @@ class ReconfigStage:
         group.members.sort(key=lambda n: n.addr)
         group.pbft.add_member(node)
         group.local.attach_member(node)
-        transport = deployment.transport
-        if hasattr(transport, "add_member"):
-            transport.add_member(gid, node)
+        deployment.transport.add_member(gid, node)
         view = deployment.membership.record(
             gid,
             [m.addr for m in group.members],
@@ -198,7 +195,7 @@ class ReconfigStage:
         )
         group.pbft.epoch = view.epoch
         detail = f"n={view.n} quorum={view.quorum}"
-        control = getattr(deployment, "control", None)
+        control = deployment.control
         if control is not None:
             # Record the carried epoch (and whether an actuation landed
             # mid-join) only when a controller is attached: controller-off
@@ -235,7 +232,7 @@ class ReconfigStage:
             )
             group.pbft.epoch = view.epoch
             self._announce("leave", gid, index=index, detail="group emptied")
-            self.sim.schedule_at(self.sim.now + LEAVE_DRAIN, node.crash)
+            self.sim.schedule_at(self.sim.now + LEAVE_DRAIN, self._depart, node)
             return
         if group.pbft.leader is node:
             survivors_live = [
@@ -245,9 +242,7 @@ class ReconfigStage:
                 self._hand_off(gid, node, survivors_live[0], "leave of leader")
         group.members.remove(node)
         group.pbft.remove_member(node)
-        transport = deployment.transport
-        if hasattr(transport, "remove_member"):
-            transport.remove_member(gid, node)
+        deployment.transport.remove_member(gid, node)
         view = deployment.membership.record(
             gid,
             [m.addr for m in group.members],
@@ -261,8 +256,16 @@ class ReconfigStage:
             detail=f"n={view.n} quorum={view.quorum}",
         )
         # Short drain so deliveries already in flight land, then the node
-        # goes dark (network drops traffic to it, timers no-op).
-        self.sim.schedule_at(self.sim.now + LEAVE_DRAIN, node.crash)
+        # goes dark.
+        self.sim.schedule_at(self.sim.now + LEAVE_DRAIN, self._depart, node)
+
+    def _depart(self, node: GeoNode) -> None:
+        """The drained leaver goes dark (network drops traffic to it,
+        timers no-op). It publishes no fault, so the ordering stage is
+        told directly: entries that waited on it as an observer are
+        released now."""
+        node.crash()
+        self.deployment.ordering_exec.release_crashed(self.sim.now)
 
     # ------------------------------------------------------------------
     # Resize
@@ -347,10 +350,9 @@ class ReconfigStage:
         carried: List[int] = []
         reproposed: List[int] = []
         phase = group.global_phase
-        instances = getattr(phase, "instances", None)
-        state = instances.get(gid) if instances is not None else None
+        state = phase.instances.get(gid)
         if state is not None:
-            retry = getattr(phase, "REPLICATION_RETRY", 0.5)
+            retry = phase.REPLICATION_RETRY
             for seq in sorted(state.outstanding):
                 out = state.outstanding[seq]
                 if out.commit_pbft_started:

@@ -2,47 +2,16 @@
 
 A :class:`ProtocolSpec` is pure configuration — transport choice, global
 consensus style, ordering discipline — interpreted by the stage modules
-in this package. :class:`StageOverrides` lets a spec swap whole stage
-implementations (a custom :class:`~repro.protocols.runtime.global_phase.
-GlobalPhase`, transport, or orderer factory) without touching the
-composition root, which is how new protocols are added by composing
-stages rather than editing the runtime.
+in this package. Its validated strings are the one way a stage is
+chosen: each stage module owns the branch that builds the
+implementation its string names, so a new protocol is a new spec value
+plus, at most, a new branch in the stage it changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
-
-
-@dataclass(frozen=True)
-class StageOverrides:
-    """Factory hooks replacing a stage wholesale for one spec.
-
-    ``global_phase(group) -> GlobalPhase``
-        Called once per :class:`GroupRuntime`; returns the group's global
-        consensus phase.
-    ``transport(deployment, members_by_gid, deliver, get_entry) -> transport``
-        Returns an object with the replication-transport interface of
-        :mod:`repro.core.replication` (``replicate`` + ``plan_for``).
-    ``orderer(node, deployment, on_execute) -> orderer``
-        Returns the per-observer ordering engine.
-    ``reconfig(deployment) -> ReconfigStage``
-        Returns the runtime-reconfiguration stage (membership epochs,
-        join/leave, leader re-placement). Defaults to
-        :class:`~repro.protocols.runtime.reconfig.ReconfigStage`.
-    ``control(deployment) -> ControlStage``
-        Returns the closed-loop adaptive-control stage
-        (:mod:`repro.control`). Defaults to ``None`` — no controller, no
-        import of :mod:`repro.control`, and runs stay byte-identical to
-        a build without the subsystem (zero-cost-off).
-    """
-
-    global_phase: Optional[Callable[..., Any]] = None
-    transport: Optional[Callable[..., Any]] = None
-    orderer: Optional[Callable[..., Any]] = None
-    reconfig: Optional[Callable[..., Any]] = None
-    control: Optional[Callable[..., Any]] = None
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -54,7 +23,6 @@ class ProtocolSpec:
     broadcast, GeoBFT), "serial" (one global slot at a time, Steward).
     ``ordering``: "round" | "async" | "sequence".
     ``epoch_slots``: ISS-style epoch gating (entries per epoch), or None.
-    ``stages``: optional :class:`StageOverrides` swapping stage factories.
     ``unsafe_commit_quorum``: TEST-ONLY override of the global commit
     quorum (normally ``f_g + 1`` accepting groups). Setting it below the
     real quorum deliberately breaks agreement under group crashes; it
@@ -69,7 +37,6 @@ class ProtocolSpec:
     overlap_vts: bool = True
     epoch_slots: Optional[int] = None
     multi_master: bool = True
-    stages: Optional[StageOverrides] = field(default=None, compare=False)
     unsafe_commit_quorum: Optional[int] = None
 
     def __post_init__(self) -> None:

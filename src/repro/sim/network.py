@@ -397,10 +397,6 @@ class Network:
         for addr in self.group_members(group):
             self.crash_node(addr)
 
-    def recover_group(self, group: int) -> None:
-        for addr in self.group_members(group):
-            self.recover_node(addr)
-
     def was_down(self, addr: NodeAddress, position: Tuple[float, int]) -> bool:
         """Whether ``addr`` was crashed at event-order ``position`` — what
         :meth:`_deliver` would have seen had it run there."""

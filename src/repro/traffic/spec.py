@@ -4,9 +4,9 @@ A :class:`TrafficSpec` bundles an arrival-process recipe (instantiated
 per group from that group's dedicated rng stream), an optional
 :class:`~repro.traffic.tenancy.TenantMix`, and an optional
 :class:`~repro.traffic.hotspot.HotspotDrift` description. The deployment
-consumes it duck-typed — it only calls :meth:`process_for` and reads
-:attr:`tenants` — so the runtime package never imports
-:mod:`repro.traffic` and constant-rate deployments pay nothing.
+calls :meth:`process_for` and :meth:`tenants_for` and reads
+:attr:`tenants` without importing :mod:`repro.traffic`, so
+constant-rate deployments pay nothing.
 
 ``peak_rate`` per group is what admission sizing (``max_batch_txns``)
 and goodput normalisation use; for bursty processes it is the envelope
@@ -72,7 +72,7 @@ class TrafficSpec:
                     )
             self.tenants_by_group = dict(tenants_by_group)
 
-    # -- deployment-facing API (duck-typed) ----------------------------
+    # -- deployment-facing API ------------------------------------------
 
     def process_for(self, gid: int, rng: random.Random) -> ArrivalProcess:
         """Instantiate group ``gid``'s arrival process from its stream."""

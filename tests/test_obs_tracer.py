@@ -136,6 +136,8 @@ class TestTelemetry:
         assert any(n.endswith(".utilization") for n in names)
         assert any(n.endswith(".backlog_s") for n in names)
         assert any(n.startswith("group/") and n.endswith("/pbft_view") for n in names)
+        for gid in range(3):
+            assert f"group/g{gid}/load.offered" in names
 
     def test_zero_interval_disables_sampler(self):
         deployment = small_deployment()

@@ -84,14 +84,14 @@ class TestGroupCrash:
         deployment = deploy(massbft(), load=1500, takeover_timeout=0.5)
         deployment.crash_group_at(0, at=1.0)
         deployment.run(duration=4.0, warmup=0.0)
-        g1_view = deployment.groups[1].instances[0]
+        g1_view = deployment.groups[1].global_phase.instances[0]
         assert g1_view.takeover_leader == 1
 
     def test_no_takeover_without_crash(self):
         deployment = deploy(massbft(), load=1500)
         deployment.run(duration=3.0, warmup=0.0)
         for runtime in deployment.groups.values():
-            for state in runtime.instances.values():
+            for state in runtime.global_phase.instances.values():
                 assert state.takeover_leader is None
 
     def test_surviving_observers_agree_after_crash(self):

@@ -5,12 +5,8 @@ import dataclasses
 import pytest
 
 from repro.protocols import registry
-from repro.protocols.registry import (
-    feature_table,
-    protocol_by_name,
-    spec_with_overrides,
-)
-from repro.protocols.runtime import RaftGlobalPhase, StageOverrides
+from repro.protocols.registry import feature_table, massbft, protocol_by_name
+from repro.protocols.runtime import ProtocolSpec
 
 
 class TestProtocolByName:
@@ -27,27 +23,16 @@ class TestProtocolByName:
         assert protocol_by_name("ebr+a").name == "MassBFT"
 
     def test_field_overrides(self):
-        spec = protocol_by_name("massbft", ordering="round", overlap_vts=False)
+        spec = dataclasses.replace(protocol_by_name("massbft"), ordering="round")
         assert spec.ordering == "round"
-        assert not spec.overlap_vts
+        assert not massbft(overlap_vts=False).overlap_vts
+        # replace() re-validates: async ordering needs global Raft.
+        with pytest.raises(ValueError, match="requires global Raft"):
+            dataclasses.replace(protocol_by_name("geobft"), ordering="async")
 
-    def test_stage_override_lands_in_stage_overrides(self):
-        class MyPhase(RaftGlobalPhase):
-            pass
-
-        spec = protocol_by_name("massbft", global_phase=MyPhase)
-        assert isinstance(spec.stages, StageOverrides)
-        assert spec.stages.global_phase is MyPhase
-        assert spec.stages.transport is None
-        # Stage factories don't participate in spec equality.
-        assert spec == protocol_by_name("massbft")
-
-    def test_spec_with_overrides_mixes_fields_and_stages(self):
-        spec = spec_with_overrides(
-            protocol_by_name("baseline"), ordering="async", orderer=object
-        )
-        assert spec.ordering == "async"
-        assert spec.stages.orderer is object
+    def test_takes_only_a_name(self):
+        with pytest.raises(TypeError):
+            protocol_by_name("massbft", ordering="round")
 
 
 class TestFeatureTable:
@@ -76,8 +61,8 @@ class TestFeatureTable:
 
 
 class TestProtocolSpec:
-    def test_spec_is_frozen_with_stage_slot(self):
+    def test_spec_is_frozen_without_stage_slot(self):
         spec = protocol_by_name("massbft")
-        assert spec.stages is None
+        assert "stages" not in {f.name for f in dataclasses.fields(ProtocolSpec)}
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.name = "x"

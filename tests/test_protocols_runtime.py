@@ -124,8 +124,8 @@ class TestProposalWindows:
         # Artificially saturate every member's uplink.
         for node in runtime.members:
             deployment.network._wan_up[node.addr].acquire(0.0, 20e6)  # 1 s
-        assert runtime._senders_backlogged()
-        assert runtime.try_propose() is None
+        assert runtime.load_stage.senders_backlogged()
+        assert runtime.load_stage.try_propose() is None
 
     def test_encoded_gate_ignores_minority_slow_nodes(self):
         deployment = GeoDeployment(
@@ -140,10 +140,10 @@ class TestProposalWindows:
         # plan(7,7): n_data=3, nc1=1 -> only the 3 fastest members gate.
         for node in runtime.members[:4]:
             deployment.network._wan_up[node.addr].acquire(0.0, 20e6)
-        assert not runtime._senders_backlogged()
+        assert not runtime.load_stage.senders_backlogged()
         for node in runtime.members[4:]:
             deployment.network._wan_up[node.addr].acquire(0.0, 20e6)
-        assert runtime._senders_backlogged()
+        assert runtime.load_stage.senders_backlogged()
 
     def test_leader_gate_tracks_leader_only(self):
         deployment = GeoDeployment(
@@ -157,9 +157,9 @@ class TestProposalWindows:
         runtime = deployment.groups[0]
         for node in runtime.members[1:]:
             deployment.network._wan_up[node.addr].acquire(0.0, 20e6)
-        assert not runtime._senders_backlogged()  # followers don't send
+        assert not runtime.load_stage.senders_backlogged()  # followers don't send
         deployment.network._wan_up[runtime.rep.addr].acquire(0.0, 20e6)
-        assert runtime._senders_backlogged()
+        assert runtime.load_stage.senders_backlogged()
 
     def test_steward_token_serializes_slots(self):
         from repro.core.entry import EntryId
@@ -183,7 +183,7 @@ class TestProposalWindows:
         slot = token.take(EntryId(0, 1))
         assert token.in_flight
         # Group 0's runtime may not start another slot while in flight.
-        assert not deployment.groups[0]._window_allows()
+        assert not deployment.groups[0].load_stage.window_allows()
         token.commit(slot)
         assert not token.in_flight
 
@@ -199,6 +199,6 @@ class TestProposalWindows:
         runtime = deployment.groups[0]
         runtime.next_seq = 4
         runtime.last_own_committed = 3
-        assert runtime._window_allows()  # 1 outstanding < window of 2
+        assert runtime.load_stage.window_allows()  # 1 outstanding < window of 2
         runtime.next_seq = 5
-        assert not runtime._window_allows()  # window full
+        assert not runtime.load_stage.window_allows()  # window full

@@ -1,9 +1,10 @@
 """Run state bounded by the pipeline window.
 
 An entry holds its batch (and the conflict plan cached on it) only until
-every live observer has executed it; a crash releases whatever was
-waiting on the crashed observer alone. :class:`RunMetrics` keeps 8 B per
-committed transaction plus a fixed cost per entry. A released entry
+every live observer has executed it; a crash, or a graceful leaver
+going dark, releases whatever was waiting on that observer alone.
+:class:`RunMetrics` keeps 8 B per committed transaction plus a fixed
+cost per entry. A released entry
 still answers ``tx_count``, ``size_bytes`` and ``digest``, and fails
 loudly, with :class:`EntryReleased`, when its batch is asked for.
 """
@@ -73,14 +74,18 @@ PER_ENTRY_BYTES = 640
 
 
 @pytest.mark.parametrize(
-    "variant", ["plain", "crash_group_0", "observers_all"]
+    "variant", ["plain", "crash_group_0", "observers_all", "observer_leaves"]
 )
 def test_only_entries_some_live_observer_lacks_hold_a_batch(variant):
     deployment = deployment_3x4(
-        observers="all" if variant == "observers_all" else "leaders"
+        observers="leaders" if variant in ("plain", "crash_group_0") else "all"
     )
     if variant == "crash_group_0":
         deployment.crash_group_at(0, 1.0)
+    if variant == "observer_leaves":
+        # A graceful leave announces no fault; the leaver going dark
+        # must still stop it holding entries back.
+        deployment.leave_node_at(1, 3, 1.0)
     metrics = deployment.run(duration=2.0, warmup=0.5)
 
     live = live_observers(deployment)

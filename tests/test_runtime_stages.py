@@ -1,12 +1,23 @@
-"""Tests for the runtime stage seams: event bus, tracing, stage overrides."""
+"""Tests for the runtime stage wiring: event bus, stage records, selection."""
 
-from repro.protocols import GeoDeployment, massbft, protocol_by_name
+import pytest
+
+from repro.core.entry import EntryId
+from repro.core.ordering import DeterministicOrderer, RoundBasedOrderer
+from repro.core.replication import (
+    BijectiveTransport,
+    EncodedBijectiveTransport,
+    LeaderUnicastTransport,
+)
+from repro.protocols import GeoDeployment, massbft, protocol_by_name, registry
 from repro.protocols.runtime import (
     DirectBroadcastPhase,
     EntryBatched,
     EntryExecuted,
     EventBus,
     RaftGlobalPhase,
+    SequenceOrderer,
+    SerialSlotPhase,
 )
 from repro.workloads import make_workload
 from tests.conftest import tiny_cluster
@@ -38,14 +49,14 @@ class TestEventBus:
         EventBus().publish(EntryBatched(None, 0.0, 1, 0.0))  # no handlers: no-op
 
 
-class TestStageTrace:
+class TestStageRecords:
+    """What RunMetrics keeps of the bus's stage events."""
+
     def test_stage_timeline_is_monotone(self):
-        deployment = deploy(massbft())
-        trace = deployment.attach_trace()
-        deployment.run(duration=1.0, warmup=0.0)
+        metrics = deploy(massbft()).run(duration=1.0, warmup=0.0)
         complete = [
             s
-            for s in trace.stamps.values()
+            for s in metrics.entry_stamps.values()
             if {"batched", "local_committed", "global_committed", "executed"}
             <= s.keys()
         ]
@@ -58,54 +69,71 @@ class TestStageTrace:
                 <= stamps["executed"]
             )
 
-    def test_trace_agrees_with_metrics(self):
+    def test_executed_stamps_agree_with_executed_entries(self):
         deployment = deploy(massbft())
-        trace = deployment.attach_trace()
         metrics = deployment.run(duration=1.0, warmup=0.0)
-        executed = sum(1 for s in trace.stamps.values() if "executed" in s)
-        assert executed == len(
-            [e for e in metrics.entry_stamps.values() if "executed" in e]
-        )
+        stamped = {
+            e for e, stamps in metrics.entry_stamps.items() if "executed" in stamps
+        }
+        # Each entry is measured once, at its origin group's observer,
+        # whose subchain for that group grows in sequence order.
+        executed = {
+            EntryId(gid, seq)
+            for gid in deployment.groups
+            for seq in range(
+                1, deployment.observer_of(gid).ledger.subchains[gid].height + 1
+            )
+        }
+        assert len(stamped) > 10
+        assert stamped == executed
 
     def test_queue_depths_sampled_at_admission(self):
-        deployment = deploy(massbft())
-        trace = deployment.attach_trace()
-        deployment.run(duration=0.5, warmup=0.0)
-        assert trace.queue_samples
-        sample = trace.queue_samples[0]
-        assert sample.wan_backlog >= 0.0 and sample.cpu_backlog >= 0.0
+        metrics = deploy(massbft()).run(duration=0.5, warmup=0.0)
+        rows = metrics.queue_summary()
+        assert rows
+        for row in rows:
+            assert row["samples"] > 0
+            assert row["wan_backlog_mean"] >= 0.0 and row["cpu_backlog_mean"] >= 0.0
 
     def test_gating_reported_under_pressure(self):
-        deployment = deploy(massbft(), load=2000, pipeline_window=1)
-        trace = deployment.attach_trace()
-        deployment.run(duration=1.0, warmup=0.0)
-        assert any(g.reason == "window" for g in trace.gated)
-
-
-class TestStageOverrides:
-    def test_custom_global_phase_is_installed_and_runs(self):
-        proposals = []
-
-        class CountingPhase(RaftGlobalPhase):
-            def on_entry_batched(self, entry):
-                proposals.append(entry.entry_id)
-                super().on_entry_batched(entry)
-
-        spec = protocol_by_name("massbft", global_phase=CountingPhase)
-        deployment = deploy(spec)
-        assert all(
-            isinstance(g.global_phase, CountingPhase)
-            for g in deployment.groups.values()
+        metrics = deploy(massbft(), load=2000, pipeline_window=1).run(
+            duration=1.0, warmup=0.0
         )
-        metrics = deployment.run(duration=1.0, warmup=0.0)
-        assert metrics.committed > 100
-        assert len(proposals) > 0
+        assert any(row.get("gated_window", 0) > 0 for row in metrics.queue_summary())
 
-    def test_broadcast_phase_override_turns_raft_spec_into_geobft(self):
-        spec = protocol_by_name("baseline", global_phase=DirectBroadcastPhase)
-        deployment = deploy(spec)
-        metrics = deployment.run(duration=1.0, warmup=0.0)
-        assert metrics.committed > 100
-        # No global Raft instances ever started.
+
+#: (transport, global phase, orderer) each registered name must build.
+STAGES = {
+    "massbft": (EncodedBijectiveTransport, RaftGlobalPhase, DeterministicOrderer),
+    "ebr+a": (EncodedBijectiveTransport, RaftGlobalPhase, DeterministicOrderer),
+    "massbft-weak": (
+        EncodedBijectiveTransport, RaftGlobalPhase, DeterministicOrderer,
+    ),
+    "baseline": (LeaderUnicastTransport, RaftGlobalPhase, RoundBasedOrderer),
+    "iss": (LeaderUnicastTransport, RaftGlobalPhase, RoundBasedOrderer),
+    "geobft": (LeaderUnicastTransport, DirectBroadcastPhase, RoundBasedOrderer),
+    "steward": (LeaderUnicastTransport, SerialSlotPhase, SequenceOrderer),
+    "br": (BijectiveTransport, RaftGlobalPhase, RoundBasedOrderer),
+    "ebr": (EncodedBijectiveTransport, RaftGlobalPhase, RoundBasedOrderer),
+}
+
+
+class TestStageSelection:
+    @pytest.mark.parametrize("name", sorted(registry._FACTORIES))
+    def test_spec_strings_select_every_stage(self, name):
+        transport, phase, orderer = STAGES[name]
+        deployment = deploy(protocol_by_name(name), observers="all")
+        assert type(deployment.transport) is transport
         for group in deployment.groups.values():
-            assert group.instances == {}
+            assert type(group.global_phase) is phase
+        observers = [n for n in deployment.nodes.values() if n.is_observer]
+        assert len(observers) == len(deployment.nodes)
+        for node in observers:
+            assert type(node.orderer) is orderer
+
+        metrics = deployment.run(duration=0.5, warmup=0.0)
+        assert metrics.committed > 0
+        if phase is DirectBroadcastPhase:
+            # Availability is commitment: no global Raft instance starts.
+            for group in deployment.groups.values():
+                assert group.global_phase.instances == {}
