@@ -11,11 +11,11 @@ the reproduction target — see EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, List
 
 from repro.bench.harness import RunConfig
+from repro.bench.report import merge_results
 
 #: Simulated seconds per measurement run (keep the full suite tractable).
 DURATION = 1.6
@@ -39,16 +39,7 @@ def run_once(benchmark, fn: Callable[[], Any]) -> Any:
 
 def record_results(figure: str, rows: Any) -> None:
     """Persist a figure's measured rows (consumed by EXPERIMENTS.md)."""
-    data: Dict[str, Any] = {}
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError:
-                data = {}
-    data[figure] = rows
-    with open(RESULTS_PATH, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+    merge_results(RESULTS_PATH, figure, rows)
 
 
 def saturated_config(protocol: str, cluster, workload: str = "ycsb-a", **kw) -> RunConfig:

@@ -11,10 +11,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.bench.metrics import RunMetrics
-from repro.costs import CostModel
 from repro.topology.cluster import ClusterConfig
 from repro.workloads import make_workload
 from repro.workloads.base import Workload
+
+#: Calibrated runs offer this share of each group's measured capacity …
+LATENCY_FACTOR = 0.9
+#: … but never less than this many txns/s per group.
+MIN_RATE = 200.0
 
 
 @dataclass
@@ -28,12 +32,6 @@ class RunConfig:
     duration: float = 2.0
     warmup: float = 0.5
     seed: int = 0
-    coding: str = "simulated"
-    execution: str = "modeled"
-    observers: str = "leaders"
-    costs: Optional[CostModel] = None
-    #: Extra GeoDeployment keyword arguments.
-    overrides: Dict[str, Any] = field(default_factory=dict)
     #: Hook run after construction, before the simulation starts
     #: (failure injection, bandwidth changes, ...).
     setup: Optional[Callable[[Any], None]] = None
@@ -95,12 +93,7 @@ class ExperimentRunner:
             spec=spec,
             workload=workload,
             offered_load=config.offered_load,
-            coding=config.coding,
-            execution=config.execution,
-            observers=config.observers,
-            costs=config.costs,
             seed=config.seed,
-            **config.overrides,
         )
         if config.setup is not None:
             config.setup(deployment)
@@ -128,21 +121,17 @@ class ExperimentRunner:
     def sweep(self, configs: List[RunConfig]) -> List[RunResult]:
         return [self.run(config) for config in configs]
 
-    def run_calibrated(
-        self,
-        config: RunConfig,
-        latency_factor: float = 0.9,
-        min_rate: float = 200.0,
-    ) -> RunResult:
+    def run_calibrated(self, config: RunConfig) -> RunResult:
         """Two-phase measurement: saturate for peak throughput, then rerun
         near capacity for representative latency.
 
         Phase 1 drives the configured (high) offered load and takes the
         measured committed rate as the protocol's capacity. Phase 2 offers
-        ``latency_factor`` of each group's measured capacity, so queues
-        stay short and latency reflects the consensus path rather than
-        admission queueing — the standard way OLTP evaluations pair a
-        peak-throughput number with a latency number.
+        :data:`LATENCY_FACTOR` of each group's measured capacity (at least
+        :data:`MIN_RATE` txns/s), so queues stay short and latency reflects
+        the consensus path rather than admission queueing — the standard
+        way OLTP evaluations pair a peak-throughput number with a latency
+        number.
 
         The returned result carries phase-1 throughput and phase-2
         latency (phase-2 metrics object is attached as ``metrics``).
@@ -152,7 +141,7 @@ class ExperimentRunner:
         probe = self.run(config)
         measured = probe.metrics.measured_duration()
         per_group = {
-            g: max(min_rate, probe.metrics.committed_by_group[g] / measured * latency_factor)
+            g: max(MIN_RATE, probe.metrics.committed_by_group[g] / measured * LATENCY_FACTOR)
             for g in range(len(probe.metrics.committed_by_group))
         }
         relaxed = self.run(dataclasses.replace(config, offered_load=per_group))

@@ -1,7 +1,7 @@
 """Reconfiguration recovery benchmark: dip depth and time-to-recovery.
 
 Measures what a reconfiguration *costs* in delivered goodput. One
-deployment runs at moderate load; at ``event_at`` a churn scenario fires
+deployment runs at moderate load; at ``EVENT_AT`` a churn scenario fires
 (a telemetry-driven leader move off a throttled representative, or a
 node join with state-transfer catch-up); committed transactions are
 binned into fixed-width goodput windows from the ``EntryExecuted`` bus
@@ -28,6 +28,17 @@ from repro.protocols.runtime.events import EntryExecuted, ReconfigApplied
 from repro.topology import scaled_cluster
 from repro.workloads import make_workload
 
+#: Protocol and cluster every scenario runs on: 3 groups of 5 nodes.
+PROTOCOL = "massbft"
+N_GROUPS = 3
+NODES_PER_GROUP = 5
+#: Moderate offered load per group (txns/s), well below saturation.
+OFFERED_LOAD = 1500.0
+#: Simulated seconds: the whole run, the warmup before the steady window,
+#: and the instant the churn scenario fires.
+DURATION = 4.0
+WARMUP = 0.5
+EVENT_AT = 1.5
 #: Goodput binning window (simulated seconds).
 BIN_WIDTH = 0.05
 #: A bin at this fraction of steady goodput counts as recovered.
@@ -84,35 +95,24 @@ class RecoveryResult:
         }
 
 
-def run_recovery(
-    scenario: str,
-    seed: int = 2,
-    protocol: str = "massbft",
-    n_groups: int = 3,
-    nodes_per_group: int = 5,
-    offered_load: float = 1500.0,
-    duration: float = 4.0,
-    warmup: float = 0.5,
-    event_at: float = 1.5,
-    bin_width: float = BIN_WIDTH,
-) -> RecoveryResult:
+def run_recovery(scenario: str, seed: int = 2) -> RecoveryResult:
     """Run one recovery scenario and summarise its goodput timeline."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; pick from {SCENARIOS}")
-    cluster = scaled_cluster(n_groups=n_groups, nodes_per_group=nodes_per_group)
+    cluster = scaled_cluster(n_groups=N_GROUPS, nodes_per_group=NODES_PER_GROUP)
     deployment = GeoDeployment(
         cluster,
-        protocol_by_name(protocol),
+        protocol_by_name(PROTOCOL),
         make_workload("ycsb-a"),
-        offered_load=offered_load,
+        offered_load=OFFERED_LOAD,
         seed=seed,
     )
-    n_bins = int(round(duration / bin_width))
+    n_bins = int(round(DURATION / BIN_WIDTH))
     counts = [0] * n_bins
     events: List[Tuple[float, str, int]] = []
 
     def on_executed(event: EntryExecuted) -> None:
-        index = min(n_bins - 1, int(event.at / bin_width))
+        index = min(n_bins - 1, int(event.at / BIN_WIDTH))
         counts[index] += len(event.commit_times)
 
     deployment.bus.subscribe(EntryExecuted, on_executed)
@@ -133,34 +133,34 @@ def run_recovery(
                 group.pbft.leader.addr, DEGRADED_BANDWIDTH
             )
 
-        deployment.sim.schedule_at(event_at, throttle_leader)
+        deployment.sim.schedule_at(EVENT_AT, throttle_leader)
         deployment.reconfig.enable_leader_watch()
     else:  # node-join
-        deployment.join_node_at(0, event_at)
+        deployment.join_node_at(0, EVENT_AT)
 
-    deployment.run(duration=duration)
+    deployment.run(duration=DURATION)
 
-    rates = [c / bin_width for c in counts]
-    steady_lo = int(warmup / bin_width)
-    steady_hi = int(event_at / bin_width)
+    rates = [c / BIN_WIDTH for c in counts]
+    steady_lo = int(WARMUP / BIN_WIDTH)
+    steady_hi = int(EVENT_AT / BIN_WIDTH)
     steady_bins = rates[steady_lo:steady_hi]
     steady = sum(steady_bins) / len(steady_bins) if steady_bins else 0.0
     post = rates[steady_hi:]
     dip = min(post) if post else 0.0
     dip_index = post.index(dip) if post else 0
     recovered = False
-    recovery_s = duration - event_at
+    recovery_s = DURATION - EVENT_AT
     # Recovery is measured from the *dip* onwards: the first bin at or
     # after the worst one that returns to RECOVERY_FRACTION of steady.
     for i in range(dip_index, len(post)):
         if steady > 0 and post[i] >= RECOVERY_FRACTION * steady:
             recovered = True
-            recovery_s = (steady_hi + i + 1) * bin_width - event_at
+            recovery_s = (steady_hi + i + 1) * BIN_WIDTH - EVENT_AT
             break
     return RecoveryResult(
         scenario=scenario,
         seed=seed,
-        event_at=event_at,
+        event_at=EVENT_AT,
         steady_tps=steady,
         dip_tps=dip,
         dip_ratio=(dip / steady) if steady > 0 else 0.0,

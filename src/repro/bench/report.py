@@ -3,7 +3,8 @@
 Benchmarks print the same rows/series the paper's figures plot; these
 helpers keep the formatting consistent and terminal-friendly.
 :func:`rounded` and :func:`write_json` are the one way any command
-writes a deterministic (byte-diffable) JSON artifact.
+writes a deterministic (byte-diffable) JSON artifact; :func:`merge_results`
+is the one way a figure's rows reach ``benchmarks/results.json``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,25 @@ def write_json(path, doc) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def merge_results(path, key: str, rows: Any) -> Path:
+    """Store ``rows`` under ``key`` in the JSON document at ``path``,
+    keeping every other key (a missing or unreadable file starts empty).
+
+    The one writer of ``benchmarks/results.json``: sorted keys, two-space
+    indent and, unlike :func:`write_json`, no trailing newline, which is
+    how the committed file has always been written."""
+    path = Path(path)
+    data = {}
+    if path.exists():
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError:
+            data = {}
+    data[key] = rows
+    path.write_text(json.dumps(data, indent=2, sort_keys=True))
     return path
 
 
@@ -113,7 +133,7 @@ def format_control_decisions(
     policy, and the control epoch after actuation. Returns an empty
     string when no controller ran (or it never actuated).
     """
-    rows = getattr(metrics, "control_summary", lambda: [])()
+    rows = metrics.control_summary()
     if not rows:
         return ""
     headers = [

@@ -172,11 +172,9 @@ class InvariantSuite:
         elif cert is not None:
             # Epoch-scoped validation: signers and quorum come from the
             # membership view of the epoch the certificate was formed in.
-            allowed = ()
-            membership = getattr(self.deployment, "membership", None)
-            if membership is not None:
-                cert_epoch = getattr(cert, "epoch", 0)
-                allowed = membership.members_at(event.gid, cert_epoch)
+            allowed = self.deployment.membership.members_at(
+                event.gid, cert.epoch
+            )
             if not cert.verify(
                 self.deployment.keystore,
                 quorum=event.quorum,
@@ -189,7 +187,7 @@ class InvariantSuite:
                         message=(
                             f"{event.kind} certificate for {event.entry_id} at "
                             f"group {event.gid} failed signature verification "
-                            f"against epoch {getattr(cert, 'epoch', 0)} membership"
+                            f"against epoch {cert.epoch} membership"
                         ),
                         gid=event.entry_id.gid,
                         seq=event.entry_id.seq,

@@ -24,6 +24,7 @@ from repro.bench.report import (
     format_table,
     format_tenant_table,
     format_traffic_accounting,
+    merge_results,
     write_json,
 )
 from repro.core.transfer_plan import generate_transfer_plan
@@ -323,7 +324,7 @@ def _run_one(protocol: str, args: argparse.Namespace):
         make_workload(args.workload),
         offered_load=args.load,
         seed=args.seed,
-        control=getattr(args, "control", None),
+        control=args.control,
     )
     metrics = deployment.run(duration=args.duration, warmup=args.warmup)
     return deployment, metrics
@@ -464,8 +465,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     # Imported lazily: the recovery bench pulls in the whole runtime.
-    import json
-
     from repro.bench.reconfig import SCENARIOS, run_recovery
 
     scenarios = SCENARIOS if args.scenario == "all" else (args.scenario,)
@@ -485,15 +484,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"  {result.scenario}: {marks or 'no reconfig events'}")
     failed = [r for r in results if not r.recovered or r.min_bin_tps <= 0]
     if args.record is not None:
-        path = Path(args.record)
-        data = {}
-        if path.exists():
-            try:
-                data = json.loads(path.read_text())
-            except json.JSONDecodeError:
-                data = {}
-        data["reconfig_recovery"] = [r.to_jsonable() for r in results]
-        write_json(path, data)
+        path = merge_results(
+            args.record,
+            "reconfig_recovery",
+            [r.to_jsonable() for r in results],
+        )
         print(f"  recorded under 'reconfig_recovery' in {path}")
     if failed:
         for result in failed:

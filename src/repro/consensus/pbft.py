@@ -629,7 +629,6 @@ class ModeledPbftGroup:
         keystore: KeyStore,
         costs: Optional[CostModel] = None,
         instance: str = "pbft",
-        checkpoint_interval: int = 128,
     ) -> None:
         if len(nodes) < 4:
             raise ValueError("PBFT needs at least 4 members")

@@ -35,6 +35,12 @@ from typing import Dict, List
 from repro.control.policies import ControlAction, ControlPolicy
 from repro.control.signals import KnobView, SignalCollector
 from repro.protocols.runtime.events import ControlDecision, ReconfigApplied
+from repro.protocols.runtime.load import (
+    BATCH_TIMEOUT,
+    CLIENT_QUEUE_SECONDS,
+    PIPELINE_WINDOW,
+    ROUND_WINDOW,
+)
 
 #: Reconfig kinds that change the group's membership or leadership (QoS
 #: ops like region degradation keep the window: same nodes, same links).
@@ -63,7 +69,8 @@ class ControlStage:
         self.collector = SignalCollector(deployment.bus, deployment.n_groups)
         self.decisions: List[ControlDecision] = []
         self._last_tick = 0.0
-        # Baselines: the deployment-wide values every group started from.
+        # Baseline of the one deployment-wide knob; the per-group ones
+        # start at the load stage's constants.
         transport = deployment.transport
         self._base_stale = getattr(transport, "stale_send_backlog", 0.0)
         self._has_stale = hasattr(transport, "stale_send_backlog")
@@ -104,17 +111,12 @@ class ControlStage:
         views: Dict[int, KnobView] = {}
         for gid, group in deployment.groups.items():
             stage = group.load_stage
-            load = stage.load
             views[gid] = KnobView(
                 max_batch_txns=stage.max_batch_txns,
                 batch_timeout=deployment.batch_timers[gid]._interval,
                 pipeline_window=stage.pipeline_window,
                 round_window=stage.round_window,
-                queue_seconds=(
-                    load.queue_seconds
-                    if load is not None
-                    else deployment.client_queue_seconds
-                ),
+                queue_seconds=stage.load.queue_seconds,
                 stale_send_backlog=(
                     deployment.transport.stale_send_backlog
                     if self._has_stale
@@ -123,10 +125,10 @@ class ControlStage:
                 wan_backlog_cap=stage.wan_backlog_cap,
                 cpu_backlog_cap=stage.cpu_backlog_cap,
                 base_max_batch_txns=deployment.max_batch_txns,
-                base_batch_timeout=deployment.batch_timeout,
-                base_pipeline_window=deployment.pipeline_window,
-                base_round_window=deployment.round_window,
-                base_queue_seconds=deployment.client_queue_seconds,
+                base_batch_timeout=BATCH_TIMEOUT,
+                base_pipeline_window=PIPELINE_WINDOW,
+                base_round_window=ROUND_WINDOW,
+                base_queue_seconds=CLIENT_QUEUE_SECONDS,
                 base_stale_send_backlog=self._base_stale,
             )
         return views
@@ -179,9 +181,7 @@ class ControlStage:
                 return
             stage.round_window = int(new)
         elif knob == "queue_seconds":
-            load = group.load_stage.load
-            if load is None:
-                return
+            load = stage.load
             old = float(load.queue_seconds)
             new = max(1e-3, float(value))
             if new == old:

@@ -146,10 +146,9 @@ def chrome_trace_doc(trace) -> Dict[str, Any]:
             )
 
     # --- reconfiguration markers: global instants with epoch args -------
-    reconfig_spans = getattr(trace, "reconfig_spans", None)
-    if reconfig_spans:
+    if trace.reconfig_spans:
         events.append(_meta("process_name", PID_RECONFIG, 0, "reconfig"))
-        for span in reconfig_spans:
+        for span in trace.reconfig_spans:
             events.append(
                 {
                     "name": span.name,
@@ -164,10 +163,9 @@ def chrome_trace_doc(trace) -> Dict[str, Any]:
             )
 
     # --- controller decision markers: global instants with knob args ----
-    control_spans = getattr(trace, "control_spans", None)
-    if control_spans:
+    if trace.control_spans:
         events.append(_meta("process_name", PID_CONTROL, 0, "control"))
-        for span in control_spans:
+        for span in trace.control_spans:
             events.append(
                 {
                     "name": span.name,

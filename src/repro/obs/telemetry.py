@@ -24,9 +24,12 @@ Naming convention (slash-separated, stable across runs)::
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.sim.monitor import TimeSeries
+
+#: The NIC lane the sampler reads: WAN bulk egress.
+LANE = "wan_up"
 
 
 class TelemetryRegistry:
@@ -66,47 +69,37 @@ class NicSampler:
     """Periodic reader of NIC queues and group consensus state.
 
     Installed by the tracer on a repeating simulator timer. Every tick it
-    records, for each node and each sampled lane, the egress backlog in
-    seconds, the in-flight bytes it represents, and the busy fraction of
-    the interval just ended; plus each group's current PBFT view (leader
-    index). All reads, no writes — simulation behaviour is untouched.
+    records, for each node's WAN bulk egress lane (``wan_up``, where the
+    paper's bandwidth bottleneck lives), the backlog in seconds, the
+    in-flight bytes it represents, and the busy fraction of the interval
+    just ended; plus each group's current PBFT view (leader index). All
+    reads, no writes — simulation behaviour is untouched.
     """
 
-    def __init__(
-        self,
-        deployment,
-        registry: TelemetryRegistry,
-        lanes: Sequence[str] = ("wan_up",),
-    ) -> None:
+    def __init__(self, deployment, registry: TelemetryRegistry) -> None:
         self.deployment = deployment
         self.registry = registry
-        self.lanes = tuple(lanes)
         self.interval: float = 0.0  # set by the tracer when it installs us
-        self._last_busy: Dict[Tuple[str, str], float] = {}
+        self._last_busy: Dict[Any, float] = {}
         self.samples_taken = 0
         #: Sorted node walk with metric names prebuilt, rebuilt only when
-        #: membership changes: a per-tick sort + three f-strings per lane
-        #: per node is pure allocation churn at a 5 ms sampling interval.
+        #: membership changes: a per-tick sort + three f-strings per node
+        #: is pure allocation churn at a 5 ms sampling interval.
         self._walk_epoch = -1
-        self._walk: List[Tuple[Any, Tuple[Tuple[str, str, str, str, Tuple[str, str]], ...]]] = []
+        self._walk: List[Tuple[Any, str, str, str]] = []
 
     def _node_walk(self):
         network = self.deployment.network
         if self._walk_epoch != network.membership_epoch:
-            walk = []
-            for addr in sorted(self.deployment.nodes):
-                names = tuple(
-                    (
-                        lane,
-                        f"node/{addr!r}/{lane}.backlog_s",
-                        f"node/{addr!r}/{lane}.inflight_bytes",
-                        f"node/{addr!r}/{lane}.utilization",
-                        (repr(addr), lane),
-                    )
-                    for lane in self.lanes
+            self._walk = [
+                (
+                    addr,
+                    f"node/{addr!r}/{LANE}.backlog_s",
+                    f"node/{addr!r}/{LANE}.inflight_bytes",
+                    f"node/{addr!r}/{LANE}.utilization",
                 )
-                walk.append((addr, names))
-            self._walk = walk
+                for addr in sorted(self.deployment.nodes)
+            ]
             self._walk_epoch = network.membership_epoch
         return self._walk
 
@@ -115,45 +108,31 @@ class NicSampler:
         now = deployment.sim.now
         registry = self.registry
         network = deployment.network
-        for addr, names in self._node_walk():
-            queues = network.nic_queues(addr)
-            for lane, backlog_name, inflight_name, util_name, key in names:
-                queue = queues[lane]
-                backlog = queue.backlog(now)
-                registry.record(backlog_name, now, backlog)
-                registry.record(
-                    inflight_name, now, backlog * queue.rate / 8.0
-                )
-                last = self._last_busy.get(key, 0.0)
-                self._last_busy[key] = queue.busy_time
-                if self.interval > 0:
-                    util = min(1.0, (queue.busy_time - last) / self.interval)
-                    registry.record(util_name, now, util)
-        membership = getattr(deployment, "membership", None)
+        for addr, backlog_name, inflight_name, util_name in self._node_walk():
+            queue = network.nic_queues(addr)[LANE]
+            backlog = queue.backlog(now)
+            registry.record(backlog_name, now, backlog)
+            registry.record(inflight_name, now, backlog * queue.rate / 8.0)
+            last = self._last_busy.get(addr, 0.0)
+            self._last_busy[addr] = queue.busy_time
+            if self.interval > 0:
+                util = min(1.0, (queue.busy_time - last) / self.interval)
+                registry.record(util_name, now, util)
+        membership = deployment.membership
         for gid in sorted(deployment.groups):
             group = deployment.groups[gid]
             registry.record(
-                f"group/g{gid}/pbft_view",
-                now,
-                float(getattr(group.pbft, "leader_index", 0)),
+                f"group/g{gid}/pbft_view", now, float(group.pbft.leader_index)
             )
-            if membership is not None:
-                registry.record(
-                    f"group/g{gid}/epoch",
-                    now,
-                    float(membership.view_of(gid).epoch),
-                )
+            registry.record(
+                f"group/g{gid}/epoch", now, float(membership.view_of(gid).epoch)
+            )
             # Offered-traffic counters (reads of the ClientLoad ledger;
             # cumulative, so overload episodes show as slope changes).
             load = group.load_stage.load
-            if load is not None:
-                registry.record(
-                    f"group/g{gid}/load.offered", now, float(load.offered)
-                )
-                registry.record(
-                    f"group/g{gid}/load.admitted", now, float(load.admitted)
-                )
-                registry.record(
-                    f"group/g{gid}/load.dropped", now, float(load.dropped)
-                )
+            registry.record(f"group/g{gid}/load.offered", now, float(load.offered))
+            registry.record(
+                f"group/g{gid}/load.admitted", now, float(load.admitted)
+            )
+            registry.record(f"group/g{gid}/load.dropped", now, float(load.dropped))
         self.samples_taken += 1

@@ -27,7 +27,6 @@ from typing import Any, Dict, List, Optional
 from repro.bench.metrics import RunMetrics
 from repro.core.entry import EntryId, LogEntry
 from repro.core.membership import MembershipLog
-from repro.core.replication import DEFAULT_CERT_SIZE
 from repro.costs import CostModel
 from repro.crypto.keystore import KeyStore
 from repro.protocols.runtime.dissemination import DisseminationStage, build_transport
@@ -41,7 +40,7 @@ from repro.protocols.runtime.global_phase import (
     SlotToken,
 )
 from repro.protocols.runtime.group import GroupRuntime
-from repro.protocols.runtime.load import ClientLoad
+from repro.protocols.runtime.load import BATCH_TIMEOUT, ClientLoad
 from repro.protocols.runtime.node import GeoNode
 from repro.protocols.runtime.ordering_exec import OrderingExecStage
 from repro.protocols.runtime.spec import ProtocolSpec
@@ -69,28 +68,21 @@ class GeoDeployment:
         spec: ProtocolSpec,
         workload: Workload,
         offered_load: float = 30_000.0,
-        batch_timeout: float = 0.020,
-        max_batch_txns: Optional[int] = None,
-        pipeline_window: int = 32,
-        round_window: int = 8,
         coding: str = "simulated",
         execution: str = "modeled",
         observers: str = "leaders",
-        costs: Optional[CostModel] = None,
         seed: int = 0,
         takeover_timeout: float = 1.0,
-        ts_flush_interval: float = 0.005,
-        client_queue_seconds: float = 0.06,
-        cert_size: int = DEFAULT_CERT_SIZE,
-        wan_backlog_cap: float = 0.12,
-        cpu_backlog_cap: float = 0.08,
         traffic: Optional[Any] = None,
         control: Optional[str] = None,
     ) -> None:
-        """``offered_load`` is client transactions/second *per group*;
-        ``max_batch_txns`` defaults to one batch-timeout's worth of
-        arrivals (so a fast group cannot mask a sync-ordering stall by
-        growing its batches without bound).
+        """``offered_load`` is client transactions/second *per group*.
+
+        Batching, admission and CPU costs are the paper's one operating
+        point: constants in :mod:`~repro.protocols.runtime.load` and the
+        default :class:`~repro.costs.CostModel`. Another value for one
+        group is set on its ``load_stage`` before :meth:`run`, which is
+        where the controller actuates it mid-run.
 
         ``traffic`` is an optional :class:`repro.traffic.TrafficSpec`.
         When given, each group's arrivals come from the spec's process
@@ -127,24 +119,16 @@ class GeoDeployment:
             self.offered_load = {
                 g.gid: float(offered_load) for g in cluster.groups
             }
-        self.batch_timeout = batch_timeout
         # One batch holds at most a batch-timeout's worth of arrivals
         # (the paper fixes the batch timeout at 20 ms).
-        self.max_batch_txns = max_batch_txns or max(
-            1, int(max(self.offered_load.values()) * batch_timeout)
+        self.max_batch_txns = max(
+            1, int(max(self.offered_load.values()) * BATCH_TIMEOUT)
         )
-        self.pipeline_window = pipeline_window
-        self.round_window = round_window
         self.coding = coding
         self.execution = execution
-        self.costs = costs or CostModel()
+        self.costs = CostModel()
         self.seed = seed
         self.takeover_timeout = takeover_timeout
-        self.ts_flush_interval = ts_flush_interval
-        self.cert_size = cert_size
-        self.wan_backlog_cap = wan_backlog_cap
-        self.cpu_backlog_cap = cpu_backlog_cap
-        self.client_queue_seconds = client_queue_seconds
         self.materialize_payloads = coding == "real" or execution == "full"
         #: Deployment-wide actuation epoch, bumped by the control stage on
         #: every knob change (0 forever when no controller is attached).
@@ -204,7 +188,6 @@ class GeoDeployment:
                     workload,
                     rate=self.offered_load[gid],
                     rng=self.rng.stream(f"load.g{gid}"),
-                    queue_seconds=client_queue_seconds,
                 )
             else:
                 # Dedicated streams per concern: arrival timing and
@@ -218,7 +201,6 @@ class GeoDeployment:
                     workload,
                     rate=self.offered_load[gid],
                     rng=self.rng.stream(f"load.g{gid}"),
-                    queue_seconds=client_queue_seconds,
                     process=traffic.process_for(
                         gid, self.rng.stream(f"traffic.arrivals.g{gid}")
                     ),
@@ -242,8 +224,7 @@ class GeoDeployment:
         deliver = lambda node, entry_id: node.on_entry_available(entry_id)
         get_entry = lambda entry_id: self.entries[entry_id]
         self.transport = build_transport(
-            spec, members_by_gid, deliver, get_entry,
-            self.costs, cert_size, coding,
+            spec, members_by_gid, deliver, get_entry, self.costs, coding
         )
         self.dissemination = DisseminationStage(self, self.transport)
 
@@ -273,9 +254,9 @@ class GeoDeployment:
         for gid, group in self.groups.items():
             offset = (gid + 1) * 1e-4  # desynchronise group timers slightly
             self.batch_timers[gid] = self.sim.set_timer(
-                batch_timeout + offset,
+                BATCH_TIMEOUT + offset,
                 group.load_stage.on_batch_timer,
-                interval=batch_timeout,
+                interval=BATCH_TIMEOUT,
             )
             group.global_phase.install_timers(offset)
 

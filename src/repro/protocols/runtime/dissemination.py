@@ -31,25 +31,15 @@ def build_transport(
     deliver: Callable,
     get_entry: Callable[[EntryId], LogEntry],
     costs: CostModel,
-    cert_size: int,
     coding: str,
 ):
     """Instantiate the replication transport a spec calls for."""
     if spec.transport == "leader":
-        return LeaderUnicastTransport(
-            members_by_gid, deliver, get_entry, costs, cert_size
-        )
+        return LeaderUnicastTransport(members_by_gid, deliver, get_entry, costs)
     if spec.transport == "bijective":
-        return BijectiveTransport(
-            members_by_gid, deliver, get_entry, costs, cert_size
-        )
+        return BijectiveTransport(members_by_gid, deliver, get_entry, costs)
     return EncodedBijectiveTransport(
-        members_by_gid,
-        deliver,
-        get_entry,
-        costs,
-        cert_size,
-        coding=coding,
+        members_by_gid, deliver, get_entry, costs, coding=coding
     )
 
 

@@ -38,11 +38,16 @@ from repro.core.global_raft import (
     LocalTsNotice,
     TsAssignment,
 )
+from repro.core.replication import DEFAULT_CERT_SIZE
 from repro.protocols.runtime.events import EntryGloballyCommitted
 from repro.protocols.runtime.ordering_exec import SequenceOrderer
 from repro.protocols.runtime.slots import SlotToken
 from repro.protocols.runtime.takeover import TakeoverMixin
 from repro.protocols.runtime.values import AcceptValue, CommitValue
+
+#: Seconds between flushes of an async instance's batched timestamp
+#: replications.
+TS_FLUSH_INTERVAL = 0.005
 
 
 class GlobalPhase:
@@ -156,9 +161,9 @@ class RaftGlobalPhase(TakeoverMixin, GlobalPhase):
             return
         deployment = self.deployment
         deployment.sim.set_timer(
-            deployment.ts_flush_interval + offset,
+            TS_FLUSH_INTERVAL + offset,
             self.flush_ts_outbox,
-            interval=deployment.ts_flush_interval,
+            interval=TS_FLUSH_INTERVAL,
         )
         deployment.sim.set_timer(
             0.25 + offset, self.check_instance_liveness, interval=0.25
@@ -191,7 +196,7 @@ class RaftGlobalPhase(TakeoverMixin, GlobalPhase):
             digest=entry.digest,
             entry_size=entry.size_bytes,
             tx_count=entry.tx_count,
-            cert_size=self.deployment.cert_size,
+            cert_size=DEFAULT_CERT_SIZE,
         )
         for gid in self.deployment.other_groups(self.gid):
             rep = self.deployment.groups[gid].rep
@@ -294,7 +299,7 @@ class RaftGlobalPhase(TakeoverMixin, GlobalPhase):
             seq=seq,
             from_gid=self.gid,
             ts=ts,
-            cert_size=deployment.cert_size,
+            cert_size=DEFAULT_CERT_SIZE,
         )
         if self.spec.ordering == "async":
             # MassBFT broadcasts accepts to every representative: the
@@ -385,7 +390,7 @@ class RaftGlobalPhase(TakeoverMixin, GlobalPhase):
         if not self.group.is_rep(node):
             return
         commit = GRCommit(
-            instance=value.instance, seq=value.seq, cert_size=self.deployment.cert_size
+            instance=value.instance, seq=value.seq, cert_size=DEFAULT_CERT_SIZE
         )
         for gid in self.deployment.other_groups(self.gid):
             rep = self.deployment.groups[gid].rep
@@ -501,13 +506,13 @@ class RaftGlobalPhase(TakeoverMixin, GlobalPhase):
                 digest=entry.digest,
                 entry_size=entry.size_bytes,
                 tx_count=entry.tx_count,
-                cert_size=deployment.cert_size,
+                cert_size=DEFAULT_CERT_SIZE,
             )
             push = GREntryPush(
                 instance=self.gid,
                 seq=seq,
                 entry_size=entry.size_bytes,
-                cert_size=deployment.cert_size,
+                cert_size=DEFAULT_CERT_SIZE,
             )
             for g in laggards:
                 rep = deployment.groups[g].rep
@@ -530,7 +535,7 @@ class RaftGlobalPhase(TakeoverMixin, GlobalPhase):
                 instance=self.gid,
                 seq=seq,
                 entry_size=entry.size_bytes,
-                cert_size=deployment.cert_size,
+                cert_size=DEFAULT_CERT_SIZE,
             )
             for g in live:
                 node.send(deployment.groups[g].rep.addr, push, push.size_bytes)

@@ -12,7 +12,7 @@ the stage itself.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet, List
 
 from repro.core.entry import EntryId
 from repro.core.vts import GroupClock
@@ -28,7 +28,7 @@ class GroupRuntime:
         deployment,
         gid: int,
         members: List,
-        load: Optional[ClientLoad],
+        load: ClientLoad,
     ) -> None:
         self.deployment = deployment
         self.gid = gid

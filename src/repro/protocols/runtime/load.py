@@ -38,6 +38,19 @@ from repro.protocols.runtime.events import (
 from repro.traffic.arrivals import ArrivalProcess, ConstantRate
 from repro.workloads.base import Workload
 
+#: Seconds between a group's batch timer firings (the paper's 20 ms).
+BATCH_TIMEOUT = 0.020
+#: Client admission window: arrivals queued longer than this are dropped.
+CLIENT_QUEUE_SECONDS = 0.06
+#: Async ordering: own entries proposed but not yet globally committed.
+PIPELINE_WINDOW = 32
+#: Round-based ordering: own entries proposed ahead of local execution.
+ROUND_WINDOW = 8
+#: Seconds of sender WAN backlog that hold a group's proposals.
+WAN_BACKLOG_CAP = 0.12
+#: Seconds of representative CPU or LAN backlog that hold proposals.
+CPU_BACKLOG_CAP = 0.08
+
 
 class ClientLoad:
     """Open-loop client arrivals for one group, generated lazily.
@@ -66,7 +79,7 @@ class ClientLoad:
         workload: Workload,
         rate: Optional[float] = None,
         rng=None,
-        queue_seconds: float = 0.06,
+        queue_seconds: float = CLIENT_QUEUE_SECONDS,
         process: Optional[ArrivalProcess] = None,
         tenants=None,
         tenant_rng=None,
@@ -203,26 +216,25 @@ def _count(counters: List[int], tenants: List[int]) -> None:
 class LoadStage:
     """Batching plus admission control for one group."""
 
-    def __init__(self, group, load: Optional[ClientLoad]) -> None:
+    def __init__(self, group, load: ClientLoad) -> None:
         self.group = group
         self.deployment = group.deployment
         self.load = load
-        # Per-group copies of the deployment's admission/batching knobs.
-        # They start at the deployment-wide values (so uncontrolled runs
-        # are byte-identical to reading deployment.* directly) and are
-        # the actuation points of repro.control: the controller may tune
-        # one group's batch cap or backlog thresholds without touching
-        # the others.
-        deployment = self.deployment
-        self.max_batch_txns = deployment.max_batch_txns
-        self.pipeline_window = deployment.pipeline_window
-        self.round_window = deployment.round_window
-        self.wan_backlog_cap = deployment.wan_backlog_cap
-        self.cpu_backlog_cap = deployment.cpu_backlog_cap
+        # Per-group admission/batching knobs. They start at the module
+        # constants (the deployment-derived batch cap for
+        # ``max_batch_txns``) and are the actuation points of
+        # repro.control: the controller may tune one group's batch cap or
+        # window without touching the others, and a test may set them
+        # before the run starts.
+        self.max_batch_txns = self.deployment.max_batch_txns
+        self.pipeline_window = PIPELINE_WINDOW
+        self.round_window = ROUND_WINDOW
+        self.wan_backlog_cap = WAN_BACKLOG_CAP
+        self.cpu_backlog_cap = CPU_BACKLOG_CAP
         # Snapshot of the load counters at the last published
         # ClientArrivals event (offered, admitted, dropped).
         self._published = (0, 0, 0)
-        n_tenants = len(load.tenants) if load and load.tenants is not None else 0
+        n_tenants = len(load.tenants) if load.tenants is not None else 0
         self._published_tenants = (
             ((0,) * n_tenants, (0,) * n_tenants, (0,) * n_tenants)
             if n_tenants
@@ -234,7 +246,7 @@ class LoadStage:
     # ------------------------------------------------------------------
 
     def on_batch_timer(self) -> None:
-        if self.group.crashed or self.load is None:
+        if self.group.crashed:
             return
         self.try_propose()
 

@@ -89,17 +89,16 @@ class LocalConsensusStage:
         # epoch it was formed in, not whatever the group's size is when
         # the commit is delivered.
         quorum = self.pbft.quorum
-        membership = getattr(group.deployment, "membership", None)
-        cert_epoch = getattr(cert, "epoch", 0)
-        if membership is not None and cert_epoch < membership.epoch:
-            quorum = membership.quorum_at(group.gid, cert_epoch)
+        membership = group.deployment.membership
+        if cert.epoch < membership.epoch:
+            quorum = membership.quorum_at(group.gid, cert.epoch)
         group.deployment.bus.publish(
             ValueCertified(
                 gid=group.gid,
                 at=group.sim.now,
                 kind=kind,
                 entry_id=entry_id,
-                signer_count=getattr(cert, "signer_count", 0),
+                signer_count=cert.signer_count,
                 quorum=quorum,
                 certificate=cert,
             )

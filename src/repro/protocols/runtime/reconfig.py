@@ -48,6 +48,15 @@ from repro.sim.network import NodeAddress
 #: deliveries already in flight to it drain instead of erroring.
 LEAVE_DRAIN = 0.02
 
+#: Leader watch: poll period (seconds); a move fires when the
+#: representative's WAN send backlog exceeds the threshold (seconds) and
+#: a live peer's backlog is at most ``WATCH_IMPROVEMENT`` times it; at most
+#: one move per group per cooldown (seconds).
+WATCH_INTERVAL = 0.05
+WATCH_BACKLOG_THRESHOLD = 0.02
+WATCH_IMPROVEMENT = 0.5
+WATCH_COOLDOWN = 0.25
+
 
 class ReconfigStage:
     """Schedules and applies membership changes on a live deployment."""
@@ -92,24 +101,12 @@ class ReconfigStage:
         self.sim.schedule_at(at, self._degrade, gid, bandwidth, until)
         self.sim.schedule_at(until, self._restore, gid)
 
-    def enable_leader_watch(
-        self,
-        interval: float = 0.05,
-        backlog_threshold: float = 0.02,
-        improvement: float = 0.5,
-        cooldown: float = 0.25,
-    ) -> None:
-        """Poll NIC backlog and move leadership off a degraded rep.
-
-        A move fires when the current representative's WAN send backlog
-        exceeds ``backlog_threshold`` seconds and some live peer's
-        backlog is at most ``improvement`` times it; at most one move per
-        group per ``cooldown`` seconds.
-        """
-        self._watch_cfg = (backlog_threshold, improvement, cooldown)
+    def enable_leader_watch(self) -> None:
+        """Poll NIC backlog and move leadership off a degraded rep (the
+        ``WATCH_*`` constants set the period, trigger and cooldown)."""
         if self._watch_timer is None:
             self._watch_timer = self.sim.set_timer(
-                interval, self._watch_tick, interval=interval
+                WATCH_INTERVAL, self._watch_tick, interval=WATCH_INTERVAL
             )
 
     # ------------------------------------------------------------------
@@ -416,22 +413,22 @@ class ReconfigStage:
     # ------------------------------------------------------------------
 
     def _watch_tick(self) -> None:
-        threshold, improvement, cooldown = self._watch_cfg
         network = self.deployment.network
         for gid in sorted(self.deployment.groups):
             group = self.deployment.groups[gid]
             if group.crashed or not group.members:
                 continue
-            if self.sim.now - self._last_watch_move.get(gid, -1e9) < cooldown:
+            last_move = self._last_watch_move.get(gid, -1e9)
+            if self.sim.now - last_move < WATCH_COOLDOWN:
                 continue
             rep = group.pbft.leader
             backlog = network.wan_backlog(rep.addr)
-            if backlog < threshold:
+            if backlog < WATCH_BACKLOG_THRESHOLD:
                 continue
             best = self._least_loaded(gid, exclude=rep)
             if best is None:
                 continue
-            if network.wan_backlog(best.addr) <= backlog * improvement:
+            if network.wan_backlog(best.addr) <= backlog * WATCH_IMPROVEMENT:
                 self._last_watch_move[gid] = self.sim.now
                 self._move_leader_op(gid, best.index)
 

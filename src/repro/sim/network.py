@@ -11,10 +11,10 @@ The model mirrors the paper's testbed (Section VI):
 
 Bandwidth is modeled with serialization queues (:class:`ResourceQueue`):
 a message occupies the sender's outbound NIC for ``size/bandwidth`` seconds,
-then incurs one-way propagation latency, then occupies the receiver's
-inbound NIC. This queueing — not a closed-form formula — is what produces
-the leader-bottleneck collapse of Fig 1b/13a and the aggregate-bandwidth
-scaling of MassBFT.
+then incurs one-way propagation latency; the cap is on egress, so the
+receiver's inbound side never queues. This queueing — not a closed-form
+formula — is what produces the leader-bottleneck collapse of Fig 1b/13a
+and the aggregate-bandwidth scaling of MassBFT.
 
 The network also provides failure injection: message loss, group
 partitions, and per-node crash/bandwidth overrides (Fig 14, Fig 15).
@@ -210,8 +210,10 @@ class Network:
     """Routes messages between registered nodes with bandwidth + latency.
 
     Nodes register a delivery callback via :meth:`register`. The network
-    owns three :class:`ResourceQueue` instances per node (LAN, WAN-up,
-    WAN-down) plus failure state (crashed nodes, partitioned groups).
+    owns three :class:`ResourceQueue` instances per node (LAN, WAN bulk,
+    WAN priority) plus failure state (crashed nodes, partitioned groups).
+    WAN caps apply to egress only, as on the paper's cloud clusters: a
+    message's receive side is never serialized.
     """
 
     def __init__(
@@ -224,8 +226,6 @@ class Network:
         wan_quality: Optional[LinkQuality] = None,
         lan_quality: Optional[LinkQuality] = None,
         rng: Optional[RngRegistry] = None,
-        monitor: Optional[StatMonitor] = None,
-        limit_downstream: bool = False,
     ) -> None:
         """``rtt_matrix`` maps unordered group pairs (i, j) with i < j to
         round-trip times in seconds; one-way latency is RTT/2."""
@@ -236,10 +236,7 @@ class Network:
         self.lan_latency = lan_latency
         self.wan_quality = wan_quality or LinkQuality()
         self.lan_quality = lan_quality or LinkQuality()
-        self.monitor = monitor or StatMonitor()
-        #: Cloud WAN caps apply to egress; ingress is typically not the
-        #: contended resource (set True to serialize the receive NIC too).
-        self.limit_downstream = limit_downstream
+        self.monitor = StatMonitor()
         self._rng = (rng or RngRegistry()).stream("network")
         self._next_msg_id = 1
         #: Optional observability tap (set by ``repro.obs.Tracer``): called
@@ -269,7 +266,6 @@ class Network:
         self._lan_up: Dict[NodeAddress, ResourceQueue] = {}
         self._wan_up: Dict[NodeAddress, ResourceQueue] = {}
         self._wan_ctl: Dict[NodeAddress, ResourceQueue] = {}
-        self._wan_down: Dict[NodeAddress, ResourceQueue] = {}
         self._crashed: set = set()
         #: Per address, the event-order positions at which it crashed,
         #: recovered, crashed, ... (see was_down). Empty until a crash.
@@ -311,7 +307,6 @@ class Network:
         # commit notices): real stacks fair-share flows, so sub-KB control
         # traffic never sits behind half a second of bulk data.
         self._wan_ctl[addr] = ResourceQueue(f"{addr}.wan_ctl", wan)
-        self._wan_down[addr] = ResourceQueue(f"{addr}.wan_down", wan)
         self.wan_bytes_by_node[addr] = 0
 
     def set_node_bandwidth(self, addr: NodeAddress, wan_bandwidth: float) -> None:
@@ -322,7 +317,6 @@ class Network:
         self._require_registered(addr)
         self._wan_up[addr].rate = wan_bandwidth
         self._wan_ctl[addr].rate = wan_bandwidth
-        self._wan_down[addr].rate = wan_bandwidth
 
     def nodes(self) -> List[NodeAddress]:
         return sorted(self._handlers)
@@ -476,8 +470,7 @@ class Network:
             tx_start, tx_done = self._lan_up[src].acquire(now, bits)
             latency = self.lan_latency
             self.lan_bytes_total += size_bytes
-            arrival = tx_done + latency
-            deliver_at = arrival  # LAN inbound capacity is not a bottleneck
+            deliver_at = tx_done + latency
         else:
             quality = self.wan_quality
             if src.group in self._partitioned_groups or dst.group in self._partitioned_groups:
@@ -488,11 +481,7 @@ class Network:
             latency = self.one_way_latency(src.group, dst.group)
             self.wan_bytes_by_node[src] += size_bytes
             self.wan_bytes_total += size_bytes
-            arrival = tx_done + latency
-            if self.limit_downstream:
-                _, deliver_at = self._wan_down[dst].acquire(arrival, bits)
-            else:
-                deliver_at = arrival
+            deliver_at = tx_done + latency
 
         dropped = False
         if quality.loss_probability > 0 and self._rng.random() < quality.loss_probability:
@@ -634,11 +623,11 @@ class Network:
         """Send one payload from ``src`` to every address in ``dsts``.
 
         The WAN fan-out hot path of the replication transports: when the
-        drain is deterministic (no loss, no jitter, no downstream limit,
-        no transmit hook) and every destination is cross-group, the
-        sender's NIC slots come from one :meth:`ResourceQueue.acquire_batch`
-        instead of per-message acquires — bit-identical to the equivalent
-        loop of :meth:`send` calls, including message-id allocation for
+        drain is deterministic (no loss, no jitter, no transmit hook) and
+        every destination is cross-group, the sender's NIC slots come from
+        one :meth:`ResourceQueue.acquire_batch` instead of per-message
+        acquires — bit-identical to the equivalent loop of :meth:`send`
+        calls, including message-id allocation for
         destinations swallowed by a partition (which, exactly like
         ``send``, consume an id but no bandwidth). Anything stochastic or
         instrumented falls back to that loop. Returns the fan-out count.
@@ -648,7 +637,6 @@ class Network:
         if (
             wan.loss_probability > 0
             or wan.jitter > 0
-            or self.limit_downstream
             or self.transmit_hook is not None
             or any(dst.group == src.group for dst in dsts)
         ):
@@ -719,7 +707,6 @@ class Network:
         return {
             "wan_up": self._wan_up[addr],
             "wan_ctl": self._wan_ctl[addr],
-            "wan_down": self._wan_down[addr],
             "lan_up": self._lan_up[addr],
         }
 

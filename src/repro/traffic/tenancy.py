@@ -89,14 +89,19 @@ class TenantMix:
         ]
 
 
-def gold_silver_bronze(slo_gold: float = 0.25, slo_silver: float = 0.5,
-                       slo_bronze: float = 1.0) -> TenantMix:
+#: p99 latency SLOs (seconds) of the canonical mix's three classes.
+SLO_GOLD = 0.25
+SLO_SILVER = 0.5
+SLO_BRONZE = 1.0
+
+
+def gold_silver_bronze() -> TenantMix:
     """The canonical three-class mix used by the scenario suite."""
     return TenantMix(
         [
-            Tenant("gold", share=0.2, priority=3, slo_p99_s=slo_gold),
-            Tenant("silver", share=0.3, priority=2, slo_p99_s=slo_silver),
-            Tenant("bronze", share=0.5, priority=1, slo_p99_s=slo_bronze),
+            Tenant("gold", share=0.2, priority=3, slo_p99_s=SLO_GOLD),
+            Tenant("silver", share=0.3, priority=2, slo_p99_s=SLO_SILVER),
+            Tenant("bronze", share=0.5, priority=1, slo_p99_s=SLO_BRONZE),
         ]
     )
 

@@ -154,8 +154,7 @@ class TestHarness:
                 duration=1.0,
                 warmup=0.25,
                 seed=33,
-            ),
-            latency_factor=0.8,
+            )
         )
         assert result.throughput_tps > 0
         assert result.mean_latency_s > 0

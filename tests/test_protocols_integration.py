@@ -19,6 +19,7 @@ from repro.protocols import (
     steward,
 )
 from repro.protocols.registry import feature_table
+from repro.protocols.runtime.events import EntryBatched
 from repro.workloads import make_workload
 from tests.conftest import tiny_cluster
 
@@ -146,14 +147,12 @@ class TestWindowing:
     def test_round_window_paces_fast_group(self):
         """With round-based ordering the fast group cannot run ahead of
         execution by more than the round window."""
-        deployment = deploy(baseline(), load=4000, overrides=None) if False else deploy(
-            baseline(), load=4000
-        )
+        deployment = deploy(baseline(), load=4000)
         deployment.run(duration=1.5, warmup=0.0)
         for runtime in deployment.groups.values():
             assert (
                 runtime.next_seq - runtime.last_executed_round
-                <= deployment.round_window + 1
+                <= runtime.load_stage.round_window + 1
             )
 
     def test_iss_epoch_gating_increases_latency(self):
@@ -167,6 +166,35 @@ class TestWindowing:
         deployment = deploy(massbft(), load=3000)
         metrics = deployment.run(duration=1.0, warmup=0.0)
         assert metrics.batch_sizes.max <= deployment.max_batch_txns
+
+    def test_load_stage_settings_before_run_hold_from_first_batch(self):
+        """A group's batch cap and pipeline window set on its LoadStage
+        after construction and before run() govern its very first batch:
+        every batch holds the lowered cap, and with a window of one no
+        group proposes an entry while an earlier one awaits its global
+        commit (the default cap and window would allow both)."""
+        deployment = deploy(massbft(), load=3000)
+        assert deployment.max_batch_txns == 60
+        for runtime in deployment.groups.values():
+            runtime.load_stage.max_batch_txns = 7
+            runtime.load_stage.pipeline_window = 1
+        batched = []
+
+        def on_batched(event):
+            runtime = deployment.groups[event.entry_id.gid]
+            outstanding = runtime.next_seq - runtime.last_own_committed
+            batched.append((event.entry_id, event.tx_count, outstanding))
+
+        deployment.bus.subscribe(EntryBatched, on_batched)
+        deployment.run(duration=1.0, warmup=0.0)
+        firsts = [row for row in batched if row[0].seq == 1]
+        assert len(firsts) == 3
+        assert all(count == 7 for _, count, _ in firsts)
+        assert all(count <= 7 for _, count, _ in batched)
+        assert all(outstanding == 1 for _, _, outstanding in batched)
+        assert all(
+            deployment.groups[gid].next_seq > 3 for gid in deployment.groups
+        )
 
 
 class TestExecutionModes:

@@ -118,9 +118,9 @@ class TestProposalWindows:
             make_workload("ycsb-a"),
             offered_load=2000,
             seed=41,
-            wan_backlog_cap=0.05,
         )
         runtime = deployment.groups[0]
+        runtime.load_stage.wan_backlog_cap = 0.05
         # Artificially saturate every member's uplink.
         for node in runtime.members:
             deployment.network._wan_up[node.addr].acquire(0.0, 20e6)  # 1 s
@@ -134,9 +134,9 @@ class TestProposalWindows:
             make_workload("ycsb-a"),
             offered_load=2000,
             seed=42,
-            wan_backlog_cap=0.05,
         )
         runtime = deployment.groups[0]
+        runtime.load_stage.wan_backlog_cap = 0.05
         # plan(7,7): n_data=3, nc1=1 -> only the 3 fastest members gate.
         for node in runtime.members[:4]:
             deployment.network._wan_up[node.addr].acquire(0.0, 20e6)
@@ -152,9 +152,9 @@ class TestProposalWindows:
             make_workload("ycsb-a"),
             offered_load=2000,
             seed=43,
-            wan_backlog_cap=0.05,
         )
         runtime = deployment.groups[0]
+        runtime.load_stage.wan_backlog_cap = 0.05
         for node in runtime.members[1:]:
             deployment.network._wan_up[node.addr].acquire(0.0, 20e6)
         assert not runtime.load_stage.senders_backlogged()  # followers don't send
@@ -194,9 +194,9 @@ class TestProposalWindows:
             make_workload("ycsb-a"),
             offered_load=2000,
             seed=45,
-            pipeline_window=2,
         )
         runtime = deployment.groups[0]
+        runtime.load_stage.pipeline_window = 2
         runtime.next_seq = 4
         runtime.last_own_committed = 3
         assert runtime.load_stage.window_allows()  # 1 outstanding < window of 2

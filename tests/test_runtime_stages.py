@@ -96,9 +96,10 @@ class TestStageRecords:
             assert row["wan_backlog_mean"] >= 0.0 and row["cpu_backlog_mean"] >= 0.0
 
     def test_gating_reported_under_pressure(self):
-        metrics = deploy(massbft(), load=2000, pipeline_window=1).run(
-            duration=1.0, warmup=0.0
-        )
+        deployment = deploy(massbft(), load=2000)
+        for group in deployment.groups.values():
+            group.load_stage.pipeline_window = 1
+        metrics = deployment.run(duration=1.0, warmup=0.0)
         assert any(row.get("gated_window", 0) > 0 for row in metrics.queue_summary())
 
 

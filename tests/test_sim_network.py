@@ -82,18 +82,6 @@ class TestTransmission:
         sim.run_until_idle()
         assert seen[0] < 0.001
 
-    def test_downstream_limit_optional(self):
-        sim = Simulator()
-        net, a, b, inbox = two_group_net(sim)
-        net2_sim = Simulator()
-        net2, a2, b2, inbox2 = two_group_net(net2_sim, limit_downstream=True)
-        net.send(a, b, "x", 250_000)
-        net2.send(a2, b2, "x", 250_000)
-        sim.run_until_idle()
-        net2_sim.run_until_idle()
-        # Downstream serialization adds another 0.1 s.
-        assert inbox2[b2][0][0] == pytest.approx(inbox[b][0][0] + 0.1)
-
     def test_unknown_rtt_raises(self):
         sim = Simulator()
         net = Network(sim, rtt_matrix={})

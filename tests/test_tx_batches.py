@@ -902,12 +902,10 @@ def test_published_arrivals_account_for_every_arrival():
     spec = TrafficSpec.mmpp(
         ((30_000.0, 0.04), (0.0, 0.15)), n_groups=3, tenants=gold_silver_bronze()
     )
-    deployment = fig08_shaped(
-        offered_load=spec.offered_load(range(3)),
-        traffic=spec,
-        max_batch_txns=150,
-        client_queue_seconds=0.1,
-    )
+    deployment = fig08_shaped(offered_load=spec.offered_load(range(3)), traffic=spec)
+    for group in deployment.groups.values():
+        group.load_stage.max_batch_txns = 150
+        group.load_stage.load.queue_seconds = 0.1
     published = {gid: [0, 0, 0] for gid in range(3)}
     by_tenant = {gid: [[0] * 3, [0] * 3, [0] * 3] for gid in range(3)}
     remainder_only = []
