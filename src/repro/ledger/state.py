@@ -38,13 +38,6 @@ class KVStore:
     def read_row(self, table: str, key: Any, default: Any = None) -> Any:
         return self._data.get(table_key(table, key), default)
 
-    def put(self, key: str, value: Any) -> None:
-        """Direct write, used only for initial population (loading)."""
-        self._data[key] = value
-
-    def put_row(self, table: str, key: Any, value: Any) -> None:
-        self._data[table_key(table, key)] = value
-
     def apply_writes(self, writes: Mapping[str, Any]) -> None:
         """Atomically install a committed batch's write set."""
         self._data.update(writes)

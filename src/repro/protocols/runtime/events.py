@@ -86,7 +86,7 @@ class ClientArrivals:
 
     Published by the load stage after each admission pass; ``dropped``
     counts client timeouts (queue aging / priority shedding). The
-    per-tenant tuples are populated only under a multi-tenant traffic
+    per-tenant tuples are filled only under a multi-tenant traffic
     spec and are index-aligned with the deployment's tenant names.
     """
 

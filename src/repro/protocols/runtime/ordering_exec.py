@@ -68,7 +68,6 @@ class OrderingExecStage:
                 node.ledger = GlobalLedger(deployment.n_groups)
                 executor = AriaExecutor()
                 if deployment.execution == "full":
-                    deployment.workload.populate(executor.store)
                     deployment.workload.register(executor)
                 node.pipeline = ExecutionPipeline(executor)
                 on_execute = self.make_execute_callback(node)

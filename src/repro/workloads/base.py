@@ -1,9 +1,11 @@
 """Workload interface.
 
-A workload knows how to (a) populate the initial database state, (b)
-generate client transactions, and (c) execute each transaction kind
-against a :class:`repro.ledger.state.KVStore` (registered into the Aria
-executor). Generation is deterministic given the RNG stream.
+A workload knows how to (a) generate client transactions and (b)
+execute each transaction kind against a
+:class:`repro.ledger.state.KVStore` (registered into the Aria executor).
+Generation is deterministic given the RNG stream. No workload loads an
+initial database: a store starts empty, and a row no transaction has
+written reads as the workload's deterministic initial value.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import random
 from typing import Callable, Dict, List
 
 from repro.ledger.execution import AriaExecutor, TxLogic
-from repro.ledger.state import KVStore
 from repro.ledger.transactions import Transaction, TxBatch
 
 
@@ -22,10 +23,6 @@ class Workload(abc.ABC):
 
     #: Short identifier used in reports ("ycsb-a", "tpcc", ...).
     name: str = "workload"
-
-    @abc.abstractmethod
-    def populate(self, store: KVStore) -> None:
-        """Load the initial table contents into ``store``."""
 
     @abc.abstractmethod
     def generate(self, rng: random.Random, now: float = 0.0) -> Transaction:

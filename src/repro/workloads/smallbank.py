@@ -40,16 +40,8 @@ class SmallBankWorkload(Workload):
 
     name = "smallbank"
 
-    def __init__(
-        self, n_accounts: int = 1_000_000, materialize_limit: int = 10_000
-    ) -> None:
+    def __init__(self, n_accounts: int = 1_000_000) -> None:
         self.n_accounts = n_accounts
-        self.materialize_limit = materialize_limit
-
-    def populate(self, store: KVStore) -> None:
-        for account in range(min(self.n_accounts, self.materialize_limit)):
-            store.put_row(SAVINGS, account, INITIAL_SAVINGS)
-            store.put_row(CHECKING, account, INITIAL_CHECKING)
 
     def _pick_kind(self, rng: random.Random) -> str:
         roll = rng.random()

@@ -27,6 +27,11 @@ DISTRICTS_PER_WAREHOUSE = 10
 CUSTOMERS_PER_DISTRICT = 3000
 N_ITEMS = 100_000
 
+#: The initial warehouse and district rows. A row no transaction has
+#: written reads as these; transactions copy before they update.
+INITIAL_WAREHOUSE = {"w_ytd": 0.0, "w_tax": 0.1}
+INITIAL_DISTRICT = {"next_o_id": 1, "d_ytd": 0.0, "d_tax": 0.05}
+
 #: Payload sizes calibrated so the 50/50 mix averages the paper's 232 B.
 PAYMENT_PAYLOAD = 60
 NEWORDER_PAYLOAD = 244
@@ -53,15 +58,6 @@ class TpccWorkload(Workload):
         if n_warehouses < 1:
             raise ValueError("need at least one warehouse")
         self.n_warehouses = n_warehouses
-
-    def populate(self, store: KVStore) -> None:
-        for w in range(self.n_warehouses):
-            store.put_row(WAREHOUSE, w, {"w_ytd": 0.0, "w_tax": 0.1})
-            for d in range(DISTRICTS_PER_WAREHOUSE):
-                store.put(
-                    district_key(w, d),
-                    {"next_o_id": 1, "d_ytd": 0.0, "d_tax": 0.05},
-                )
 
     def generate(self, rng: random.Random, now: float = 0.0) -> Transaction:
         w = rng.randrange(self.n_warehouses)
@@ -105,13 +101,13 @@ class TpccWorkload(Workload):
         def payment(store: KVStore, tx: Transaction) -> Dict[str, Any]:
             w, d, c = tx.params["w"], tx.params["d"], tx.params["c"]
             amount = tx.params["amount"]
-            warehouse = dict(store.read_row(WAREHOUSE, w, {"w_ytd": 0.0}))
-            district = dict(store.get(district_key(w, d), {"d_ytd": 0.0}))
+            warehouse = dict(store.read_row(WAREHOUSE, w, INITIAL_WAREHOUSE))
+            district = dict(store.get(district_key(w, d), INITIAL_DISTRICT))
             customer = dict(
                 store.get(customer_key(w, d, c), {"balance": 0.0, "payments": 0})
             )
-            warehouse["w_ytd"] = warehouse.get("w_ytd", 0.0) + amount
-            district["d_ytd"] = district.get("d_ytd", 0.0) + amount
+            warehouse["w_ytd"] += amount
+            district["d_ytd"] += amount
             customer["balance"] = customer.get("balance", 0.0) - amount
             customer["payments"] = customer.get("payments", 0) + 1
             return {
@@ -122,10 +118,8 @@ class TpccWorkload(Workload):
 
         def neworder(store: KVStore, tx: Transaction) -> Dict[str, Any]:
             w, d = tx.params["w"], tx.params["d"]
-            district = dict(
-                store.get(district_key(w, d), {"next_o_id": 1, "d_ytd": 0.0})
-            )
-            order_id = district.get("next_o_id", 1)
+            district = dict(store.get(district_key(w, d), INITIAL_DISTRICT))
+            order_id = district["next_o_id"]
             district["next_o_id"] = order_id + 1
             writes: Dict[str, Any] = {district_key(w, d): district}
             for item, quantity in tx.params["items"].items():

@@ -5,10 +5,10 @@ bytes, 1,000,000 rows, Zipf(0.99)-distributed access; YCSB-A is 50% read
 / 50% update, YCSB-B is 95% read / 5% update. Average transaction wire
 sizes land on the paper's 201 B (A) and 150 B (B).
 
-Population is lazy beyond ``materialize_limit`` rows: reads of
-unmaterialized rows deterministically regenerate the initial row, so the
-1 GB table never has to exist in memory while behaviour (including
-conflict patterns) is unchanged.
+The table is never loaded: a store holds only the columns that
+transactions wrote, and a read of any other column regenerates its
+deterministic initial contents (:func:`initial_column`), so the 1 GB
+table never has to exist in memory.
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ def initial_column(key: int, column: int) -> str:
     return f"init:{key}:{column}".ljust(COLUMN_BYTES, "x")
 
 
-def initial_row(key: int) -> Dict[str, str]:
-    """The deterministic initial contents of row ``key``."""
-    return {f"field{c}": initial_column(key, c) for c in range(N_COLUMNS)}
-
-
 def _storage_key(code: int) -> str:
     """Key code (``key * N_COLUMNS + column``) to column storage key
     (the string :meth:`YcsbWorkload.column_key` builds)."""
@@ -86,8 +81,7 @@ def _transaction(
 
 def _read_column(store: KVStore, name: str, key: int, column: int) -> str:
     """What a read of storage key ``name`` returns: the stored column,
-    or on a miss the initial contents of a row the lazily populated
-    table never materialised."""
+    or, for a column no transaction wrote, its initial contents."""
     value = store.get(name)
     if value is None:
         value = initial_column(key, column)
@@ -272,7 +266,6 @@ class YcsbWorkload(Workload):
         read_fraction: float = 0.5,
         n_rows: int = 1_000_000,
         theta: float = 0.99,
-        materialize_limit: int = 10_000,
         hotspot=None,
     ) -> None:
         """``hotspot`` is an optional drift schedule (duck-typed: any
@@ -287,7 +280,6 @@ class YcsbWorkload(Workload):
         self.read_fraction = read_fraction
         self.n_rows = n_rows
         self.theta = theta
-        self.materialize_limit = materialize_limit
         self.hotspot = hotspot
         self.name = "ycsb-a" if read_fraction <= 0.5 else "ycsb-b"
         self._zipf: Dict[int, ZipfGenerator] = {}
@@ -365,12 +357,6 @@ class YcsbWorkload(Workload):
             )
 
         return gen
-
-    def populate(self, store: KVStore) -> None:
-        for key in range(min(self.n_rows, self.materialize_limit)):
-            row = initial_row(key)
-            for column in range(N_COLUMNS):
-                store.put(self.column_key(key, column), row[f"field{column}"])
 
     @staticmethod
     def column_key(key: int, column: int) -> str:

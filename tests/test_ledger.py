@@ -54,7 +54,7 @@ class TestTransaction:
 class TestKVStore:
     def test_basic_rw(self):
         store = KVStore()
-        store.put_row("t", 1, {"a": 1})
+        store.apply_writes({table_key("t", 1): {"a": 1}})
         assert store.read_row("t", 1) == {"a": 1}
         assert store.read_row("t", 2, "default") == "default"
         assert table_key("t", 1) in store
@@ -68,9 +68,7 @@ class TestKVStore:
 
     def test_scan_prefix(self):
         store = KVStore()
-        store.put("t/1", "x")
-        store.put("t/2", "y")
-        store.put("u/1", "z")
+        store.apply_writes({"t/1": "x", "t/2": "y", "u/1": "z"})
         assert dict(store.scan_prefix("t/")) == {"t/1": "x", "t/2": "y"}
 
     def test_state_digest_changes_with_writes(self):
@@ -141,7 +139,7 @@ class TestAriaExecutor:
 
     def test_full_logic_applies_writes(self):
         store = KVStore()
-        store.put("acct/1", 100)
+        store.apply_writes({"acct/1": 100})
         ex = AriaExecutor(store)
         ex.register_logic(
             "debit",

@@ -204,7 +204,7 @@ class TestExecutionModes:
         deployment = GeoDeployment(
             tiny_cluster((4, 4, 4)),
             massbft(),
-            make_workload("smallbank", n_accounts=500, materialize_limit=500),
+            make_workload("smallbank", n_accounts=500),
             offered_load=400,
             coding="real",
             execution="full",

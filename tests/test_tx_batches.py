@@ -50,6 +50,7 @@ from repro.workloads.ycsb import (
 )
 from tests.aria_reference import FullReferencePipeline, ReferencePipeline
 from tests.conftest import tiny_cluster
+from tests.eager_population import materialized, populate
 
 
 def fields(tx):
@@ -609,7 +610,7 @@ def test_columnar_full_execution_matches_reference(
     stores = KVStore(), KVStore()
     if populated:
         for store in stores:
-            workload.populate(store)
+            populate(workload, store)
     executor = AriaExecutor(stores[0])
     workload.register(executor)
     pipe = ExecutionPipeline(executor)
@@ -1012,7 +1013,9 @@ def test_entry_executed_publishes_what_the_parent_commit_published(traffic):
 #: logic): sha256 over every payload and over every entry digest in
 #: (gid, seq) order, the ``EntryExecuted`` stream, transactions committed,
 #: entries, and per observer (store items sha256, writes_applied,
-#: batches_applied).
+#: batches_applied). The parent loaded the initial tables into every
+#: observer's store; a store now holds only what was written, so its
+#: items are hashed on top of those tables (``materialized``).
 PARENT_REAL_FULL = (
     "70839cacacf6d15605947ca4dcd85e1f3e79f7cad666255b966b14a7aaf59423",
     "62c957cc622eb7aa3eef07041c37e566a2f5fc7bc08a4ab8d2001440285498ce",
@@ -1045,7 +1048,9 @@ def test_real_full_run_ships_and_executes_what_the_parent_commit_did(monkeypatch
     )
     stores = []
     for node in observers:
-        items, writes, batches = store_state(node.pipeline.store)
+        items, writes, batches = store_state(
+            materialized(deployment.workload, node.pipeline.store)
+        )
         stores.append((hashlib.sha256(repr(items).encode()).hexdigest(), writes, batches))
     assert (
         payloads.hexdigest(),

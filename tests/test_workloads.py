@@ -8,15 +8,21 @@ import pytest
 from repro.ledger.execution import AriaExecutor, ExecutionPipeline
 from repro.ledger.state import KVStore
 from repro.workloads import make_workload
-from repro.workloads.smallbank import CHECKING, SAVINGS, SmallBankWorkload
-from repro.workloads.tpcc import TpccWorkload, district_key
-from repro.workloads.ycsb import (
-    N_COLUMNS,
-    YcsbWorkload,
-    initial_column,
-    initial_row,
+from repro.workloads.smallbank import (
+    CHECKING,
+    INITIAL_CHECKING,
+    SAVINGS,
+    SmallBankWorkload,
 )
+from repro.workloads.tpcc import (
+    INITIAL_DISTRICT,
+    INITIAL_WAREHOUSE,
+    TpccWorkload,
+    district_key,
+)
+from repro.workloads.ycsb import N_COLUMNS, YcsbWorkload, initial_column
 from repro.workloads.zipf import ZipfGenerator
+from tests.eager_population import initial_row, populate
 
 
 class TestZipf:
@@ -86,9 +92,8 @@ class TestYcsb:
         assert t.read_keys and not t.write_keys
 
     def test_update_executes_against_store(self):
-        wl = YcsbWorkload(read_fraction=0.0, n_rows=100, materialize_limit=100)
+        wl = YcsbWorkload(read_fraction=0.0, n_rows=100)
         store = KVStore()
-        wl.populate(store)
         ex = AriaExecutor(store)
         wl.register(ex)
         t = wl.generate(random.Random(2))
@@ -112,17 +117,16 @@ class TestYcsb:
         assert store.get(a.write_keys[0]).startswith("winner")
 
     def test_lazy_rows_readable(self):
-        wl = YcsbWorkload(read_fraction=1.0, n_rows=10**6, materialize_limit=10)
+        wl = YcsbWorkload(read_fraction=1.0, n_rows=10**6)
         store = KVStore()
-        wl.populate(store)
         ex = AriaExecutor(store)
         wl.register(ex)
         for _ in range(20):
             t = wl.generate(random.Random(3))
-            ex.execute_batch([t])  # must not raise on unmaterialized rows
+            ex.execute_batch([t])  # must not raise on unwritten rows
 
     def test_single_column_default_equals_row_column(self):
-        # Reads default an unmaterialized column without building the row.
+        # Reads default an unwritten column without building the row.
         for key in (0, 7, 10**6 - 1):
             row = initial_row(key)
             assert len(row) == N_COLUMNS
@@ -132,12 +136,10 @@ class TestYcsb:
 
 class TestSmallBank:
     def test_send_payment_conserves_money(self):
-        wl = SmallBankWorkload(n_accounts=50, materialize_limit=50)
+        wl = SmallBankWorkload(n_accounts=50)
         store = KVStore()
-        wl.populate(store)
         ex = AriaExecutor(store)
         wl.register(ex)
-        total_before = sum(v for k, v in store.scan_prefix(f"{CHECKING}/"))
         rng = random.Random(4)
         pipe = ExecutionPipeline(ex)
         payments = [
@@ -147,13 +149,13 @@ class TestSmallBank:
         ]
         for p in payments:
             pipe.execute_entry([p])
-        total_after = sum(v for k, v in store.scan_prefix(f"{CHECKING}/"))
-        assert total_after == total_before
+        # Unwritten accounts still hold their initial balance.
+        moved = sum(v - INITIAL_CHECKING for _, v in store.scan_prefix(f"{CHECKING}/"))
+        assert store.writes_applied > 0 and moved == 0
 
     def test_amalgamate_zeros_source(self):
-        wl = SmallBankWorkload(n_accounts=10, materialize_limit=10)
+        wl = SmallBankWorkload(n_accounts=10)
         store = KVStore()
-        wl.populate(store)
         ex = AriaExecutor(store)
         wl.register(ex)
         rng = random.Random(5)
@@ -188,7 +190,6 @@ class TestTpcc:
     def test_payment_updates_warehouse_ytd(self):
         wl = TpccWorkload(n_warehouses=2)
         store = KVStore()
-        wl.populate(store)
         ex = AriaExecutor(store)
         wl.register(ex)
         rng = random.Random(9)
@@ -202,7 +203,6 @@ class TestTpcc:
     def test_neworder_increments_next_o_id(self):
         wl = TpccWorkload(n_warehouses=2)
         store = KVStore()
-        wl.populate(store)
         ex = AriaExecutor(store)
         wl.register(ex)
         rng = random.Random(10)
@@ -211,16 +211,16 @@ class TestTpcc:
             for t in (wl.generate(rng) for _ in range(50))
             if t.kind == "tpcc_neworder"
         )
-        before = store.get(district_key(t.params["w"], t.params["d"]))["next_o_id"]
+        key = district_key(t.params["w"], t.params["d"])
+        before = store.get(key, INITIAL_DISTRICT)["next_o_id"]
         ex.execute_batch([t])
-        after = store.get(district_key(t.params["w"], t.params["d"]))["next_o_id"]
+        after = store.get(key)["next_o_id"]
         assert after == before + 1
 
     def test_hotspot_conflicts_under_big_batches(self):
         """The Fig 8d effect: few warehouses + large batch => aborts."""
         wl = TpccWorkload(n_warehouses=4)
         store = KVStore()
-        wl.populate(store)
         ex = AriaExecutor(store)
         wl.register(ex)
         rng = random.Random(11)
@@ -230,8 +230,6 @@ class TestTpcc:
 
     def test_small_batches_abort_less(self):
         wl = TpccWorkload(n_warehouses=128)
-        store = KVStore()
-        wl.populate(store)
         rng = random.Random(12)
         big = AriaExecutor(KVStore())
         small = AriaExecutor(KVStore())
@@ -247,3 +245,34 @@ class TestTpcc:
     def test_validation(self):
         with pytest.raises(ValueError):
             TpccWorkload(n_warehouses=0)
+
+    def test_written_rows_equal_the_eager_tables_field_for_field(self):
+        """A warehouse or district row written from an empty store is the
+        row the eager tables' copy would have become, key order included
+        (the order is in every store digest): both kinds read one
+        default, equal to the loaded row."""
+        wl = TpccWorkload(n_warehouses=2)
+        lazy, eager = KVStore(), KVStore()
+        populate(wl, eager)
+        pipelines = []
+        for store in (lazy, eager):
+            ex = AriaExecutor(store)
+            wl.register(ex)
+            pipelines.append(ExecutionPipeline(ex))
+        rng = random.Random(13)
+        txns = [wl.generate(rng) for _ in range(60)]
+        assert {t.kind for t in txns} == {"tpcc_payment", "tpcc_neworder"}
+        for i in range(0, 60, 6):
+            results = [pipe.execute_entry(txns[i : i + 6]) for pipe in pipelines]
+            assert results[0] == results[1]
+        rows = [
+            key
+            for key, _ in lazy.scan_prefix("")
+            if key.startswith(("warehouse/", "district/"))
+        ]
+        assert any(key.startswith("warehouse/") for key in rows)
+        assert any(key.startswith("district/") for key in rows)
+        for key in rows:
+            assert list(lazy.get(key).items()) == list(eager.get(key).items())
+        assert set(INITIAL_WAREHOUSE) == {"w_ytd", "w_tax"}
+        assert set(INITIAL_DISTRICT) == {"next_o_id", "d_ytd", "d_tax"}
