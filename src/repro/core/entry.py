@@ -26,12 +26,12 @@ class EntryId(NamedTuple):
 
 
 class EntryReleased(RuntimeError):
-    """An entry's batch was read after :meth:`LogEntry.release`."""
+    """An entry's batch or payload was read after :meth:`LogEntry.release`."""
 
     def __init__(self, entry_id: EntryId, released_at: float) -> None:
         super().__init__(
-            f"entry {entry_id!r} released its batch at t={released_at:.6f} s, "
-            "once every live observer had executed it"
+            f"entry {entry_id!r} released its batch and payload at "
+            f"t={released_at:.6f} s, once every live observer had executed it"
         )
         self.entry_id = entry_id
         self.released_at = released_at
@@ -48,18 +48,20 @@ class LogEntry:
     size from the (possibly compacted) in-memory payload.
 
     Once every live observer has executed the entry, :meth:`release`
-    drops the batch (and the conflict plan cached on it); ``tx_count``,
-    ``size_bytes``, ``digest`` and ``payload`` stay readable.
+    drops the batch (and the conflict plan cached on it) and the
+    payload; ``tx_count``, ``payload_size``, ``size_bytes`` and
+    ``digest`` stay readable.
     """
 
     __slots__ = (
         "gid",
         "seq",
-        "payload",
         "created_at",
         "declared_size",
+        "payload_size",
         "tx_count",
         "released_at",
+        "_payload",
         "_batch",
         "_digest",
     )
@@ -75,13 +77,14 @@ class LogEntry:
     ) -> None:
         self.gid = gid
         self.seq = seq
-        self.payload = payload
         self.created_at = created_at
         self.declared_size = declared_size
+        self.payload_size = len(payload)
         self.tx_count = len(batch)
         #: Simulated instant of :meth:`release`; ``None`` while the
         #: batch is held.
         self.released_at: Optional[float] = None
+        self._payload = payload
         self._batch = batch
         self._digest: Optional[bytes] = None
 
@@ -94,7 +97,13 @@ class LogEntry:
         """Wire size of the entry body."""
         if self.declared_size is not None:
             return self.declared_size
-        return len(self.payload)
+        return self.payload_size
+
+    @property
+    def payload(self) -> bytes:
+        if self.released_at is not None:
+            raise EntryReleased(self.entry_id, self.released_at)
+        return self._payload
 
     @property
     def batch(self) -> Collection[Any]:
@@ -112,14 +121,16 @@ class LogEntry:
         value = self._digest
         if value is None:
             header = f"entry:{self.gid}:{self.seq}:".encode("utf-8")
-            value = self._digest = digest(header + self.payload)
+            value = self._digest = digest(header + self._payload)
         return value
 
     def release(self, at: float) -> None:
-        """Drop the batch at simulated instant ``at``; reading
-        :attr:`batch` or :attr:`transactions` afterwards raises
-        :class:`EntryReleased`."""
-        self._batch = None
+        """Drop the batch and the payload at simulated instant ``at``
+        (the digest binding the payload is cached first); reading
+        :attr:`payload`, :attr:`batch` or :attr:`transactions`
+        afterwards raises :class:`EntryReleased`."""
+        self._digest = self.digest
+        self._batch = self._payload = None
         self.released_at = at
 
     def __repr__(self) -> str:

@@ -430,11 +430,16 @@ class EncodedBijectiveTransport(_TransportBase):
 
     def _encode(self, entry: LogEntry, n_data: int, n_total: int, genuine: bool) -> Tuple:
         """``(chunks, Merkle tree)`` of the entry's payload — or of a
-        tampered copy — in real mode; ``(None, root)`` in simulated mode."""
+        tampered one — in real mode; ``(None, root)`` in simulated mode.
+
+        Only the genuine encoding reads the payload, and it runs at
+        replication, before any observer executes the entry. The
+        tampered payload is derived from the digest alone, so it can be
+        built after the entry released its payload."""
         if self.coding != "real":
             tag = b"root:" if genuine else b"tampered-root:"
             return None, digest(tag + entry.digest)
-        payload = entry.payload if genuine else b"tampered:" + entry.payload
+        payload = entry.payload if genuine else _tampered_payload(entry)
         chunks = self.codec_for_counts(n_data, n_total).encode(payload)
         return chunks, MerkleTree(chunks)
 
@@ -690,6 +695,20 @@ class EncodedBijectiveTransport(_TransportBase):
             if not row:
                 del self._inboxes[entry_id]
         super()._deliver_once(node, entry_id)
+
+
+#: What a Byzantine member prepends to the payload it pretends to ship.
+_TAMPERED_TAG = b"tampered:"
+
+
+def _tampered_payload(entry: LogEntry) -> bytes:
+    """The bytes a Byzantine member encodes in place of ``entry``'s
+    payload: the tag, then a fill derived from the entry's digest, as
+    long as the payload. It reads only the digest and the payload size,
+    so it can be built after the entry released its payload."""
+    size = entry.payload_size
+    fill = digest(_TAMPERED_TAG + entry.digest)
+    return _TAMPERED_TAG + (fill * (size // len(fill) + 1))[:size]
 
 
 class _Inbox:

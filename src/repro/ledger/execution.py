@@ -23,7 +23,10 @@ ones, so the whole outcome is a pure function of the batch: it is
 computed once as the batch's cached :class:`ConflictPlan` and every
 observer's pipeline merely applies it. With logic registered the write
 sets come from running the logic against this replica's store, so each
-executor decides for itself and nothing is shared.
+executor decides for itself: reads, read and write sets, aborts and the
+writes applied are per store. What a batch derives from its own rows
+alone is shared: YCSB builds each row's storage key and new column value
+once, and every store holds those same immutable strings.
 """
 
 from __future__ import annotations

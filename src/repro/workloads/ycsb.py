@@ -122,9 +122,15 @@ class YcsbBatch(TxBatch):
     packed arrays — they stay with the entry for the whole run — and
     ``ids`` is the reserved ``range`` the generator got for as long as
     the rows are one, a packed array once non-adjacent ranges were
-    joined or rows were gathered."""
+    joined or rows were gathered.
 
-    __slots__ = ("codes", "values", "ids")
+    The first :meth:`execute` builds each row's storage key and the
+    column contents its update writes (``None`` for a read) and keeps
+    them on the batch, so every observer's store holds these same string
+    objects rather than a copy of its own; they go with the batch when
+    its entry is released."""
+
+    __slots__ = ("codes", "values", "ids", "_names", "_columns")
 
     def __init__(
         self,
@@ -141,6 +147,8 @@ class YcsbBatch(TxBatch):
         self.codes = codes
         self.values = values
         self.ids = ids
+        self._names: Optional[List[str]] = None
+        self._columns: Optional[List[Optional[str]]] = None
 
     def _build(self) -> Iterator[Transaction]:
         columns = [self.due, self.codes, self.values, self.ids]
@@ -149,7 +157,7 @@ class YcsbBatch(TxBatch):
         return map(_transaction, *columns)
 
     def extend(self, other: "YcsbBatch") -> None:
-        self._txns = None
+        self._txns = self._names = self._columns = None
         self.due += other.due
         self.codes += other.codes
         self.values += other.values
@@ -167,7 +175,7 @@ class YcsbBatch(TxBatch):
             ids[:n],
             None if tenants is None else tenants[:n],
         )
-        self._txns = None
+        self._txns = self._names = self._columns = None
         self.due, self.codes, self.values, self.ids = (
             due[n:], codes[n:], values[n:], ids[n:]
         )
@@ -237,24 +245,29 @@ class YcsbBatch(TxBatch):
         stock = logic.get("ycsb_read") is _read and logic.get("ycsb_update") is _update
         if not stock:
             return super().execute(store, logic, only, retries)
+        names, columns = self._names, self._columns
+        if names is None:
+            names = self._names = list(map(_storage_key, self.codes))
+            columns = self._columns = [
+                None if value == READ else _new_column(value) for value in self.values
+            ]
+        codes = self.codes
         if only is None:
-            rows = zip(self.codes, self.values)
+            rows = zip(names, columns, codes)
         else:
-            rows = [(self.codes[index], self.values[index]) for index in only]
+            rows = [(names[index], columns[index], codes[index]) for index in only]
         read_sets: List[tuple] = []
         buffered: List[Dict[str, Any]] = []
         add_reads = read_sets.append
         buffer_writes = buffered.append
-        for code, value in rows:
-            key, column = divmod(code, N_COLUMNS)
-            name = f"{TABLE}/{key}#field{column}"
-            if value == READ:
-                _read_column(store, name, key, column)
+        for name, new, code in rows:
+            if new is None:
+                _read_column(store, name, *divmod(code, N_COLUMNS))
                 add_reads((name,))
                 buffer_writes({})
             else:
                 add_reads(())
-                buffer_writes({name: _new_column(value)})
+                buffer_writes({name: new})
         return read_sets, buffered
 
 

@@ -15,6 +15,7 @@ from repro.core.replication import (
     _Inbox,
 )
 from repro.crypto.hashing import digest
+from repro.crypto.merkle import MerkleTree
 from repro.sim.core import Simulator
 from repro.sim.network import LinkQuality, Network, NodeAddress
 from repro.sim.node import SimNode
@@ -225,12 +226,18 @@ class TestEncodedBijectiveReal:
 
 
 class _KeptRebuilds(EncodedBijectiveTransport):
-    """Keeps every rebuilder it hands out (inboxes die at delivery)."""
+    """Keeps every rebuilder it hands out (inboxes die at delivery) and
+    every tampered chunk a Byzantine receiver floods."""
 
     def _new_rebuild(self, chunk):
         rebuild = super()._new_rebuild(chunk)
         self.__dict__.setdefault("rebuilds", []).append(rebuild)
         return rebuild
+
+    def _tampered_version(self, chunk):
+        tampered = super()._tampered_version(chunk)
+        self.__dict__.setdefault("floods", []).append(tampered)
+        return tampered
 
 
 @pytest.fixture
@@ -294,19 +301,31 @@ class TestTamperedEncodingOnDemand:
         "11ae513cc0c76d19a3215135f9854ad316d5cad3c574754ddf39e93b5d2a7ed4",
     )
 
-    @staticmethod
-    def _run(sizes, senders=(), receivers=()):
-        h = Harness(
-            _KeptRebuilds,
-            sizes=sizes,
-            coding="real",
-            payload=random.Random(5).randbytes(6000),
-        )
+    PAYLOAD = random.Random(5).randbytes(6000)
+
+    @classmethod
+    def _replicate(cls, sizes, senders=(), receivers=(), release=False):
+        """Replicate the entry; with ``release``, the entry drops its
+        payload as soon as the genuine encoding is built, so every
+        tampered encoding comes after the release."""
+        h = Harness(_KeptRebuilds, sizes=sizes, coding="real", payload=cls.PAYLOAD)
         for index in senders:
             h.members[0][index].make_byzantine()
         for index in receivers:
             h.members[1][index].make_byzantine()
-        h.replicate()
+        group0 = h.members[0]
+        h.transport.replicate(h.entry, group0, group0[0])
+        if release:
+            h.entry.release(h.sim.now)
+        h.sim.run(until=5.0)
+        return h
+
+    @classmethod
+    def _run(cls, sizes, senders=(), receivers=(), release=False):
+        return cls._outcome(cls._replicate(sizes, senders, receivers, release))
+
+    @staticmethod
+    def _outcome(h):
         blacklisted = sorted(
             tuple(sorted(rebuild.blacklisted_ids)) for rebuild in h.transport.rebuilds
         )
@@ -336,6 +355,31 @@ class TestTamperedEncodingOnDemand:
         outcome = self._run((7, 7), senders=(0, 2), receivers=(1, 3))
         assert outcome == self.WORST_CASE
         assert (encodings_built["encode"], encodings_built["tree"]) == (4, 4)
+
+    def test_byzantine_receivers_of_a_released_entry_flood_what_they_did_before(self):
+        def floods(h):
+            return [
+                (c.chunk_id, c.data_size, len(c.proof.path), c.root)
+                for c in h.transport.floods
+            ]
+
+        args = (7, 7), (0, 2), (1, 3)
+        held = self._replicate(*args)
+        released = self._replicate(*args, release=True)
+        assert floods(held) and floods(released) == floods(held)
+        # Chunk sizes and proof depths are those of Reed-Solomon over
+        # ``b"tampered:" + payload``, what Byzantine members encoded
+        # while the payload was kept.
+        chunk = held.transport.floods[0]
+        codec = held.transport.codec_for_counts(chunk.n_data, chunk.n_total)
+        reference = codec.encode(b"tampered:" + self.PAYLOAD)
+        tree = MerkleTree(reference)
+        assert {flood[:3] for flood in floods(held)} <= {
+            (index, len(data), len(tree.proof(index).path))
+            for index, data in enumerate(reference)
+        }
+        # Peers' rebuilds fail, deliver and blacklist as before.
+        assert self._outcome(released) == self.WORST_CASE
 
     def test_real_payload_run_verifies_and_validates_as_much_as_before(
         self, encodings_built

@@ -1,12 +1,13 @@
 """Run state bounded by the pipeline window.
 
-An entry holds its batch (and the conflict plan cached on it) only until
-every live observer has executed it; a crash, or a graceful leaver
-going dark, releases whatever was waiting on that observer alone.
-:class:`RunMetrics` keeps 8 B per committed transaction plus a fixed
-cost per entry. A released entry
-still answers ``tx_count``, ``size_bytes`` and ``digest``, and fails
-loudly, with :class:`EntryReleased`, when its batch is asked for.
+An entry holds its batch (and the conflict plan cached on it) and its
+payload bytes only until every live observer has executed it; a crash,
+or a graceful leaver going dark, releases whatever was waiting on that
+observer alone. :class:`RunMetrics` keeps 8 B per committed transaction
+plus a fixed cost per entry. A released entry still answers
+``tx_count``, ``payload_size``, ``size_bytes`` and ``digest``, and fails
+loudly, with :class:`EntryReleased`, when its payload or batch is asked
+for.
 """
 
 import sys
@@ -18,6 +19,7 @@ from repro.core.entry import EntryId, EntryReleased, LogEntry
 from repro.ledger.transactions import Transaction, TxBatch
 from repro.protocols import GeoDeployment, protocol_by_name
 from repro.protocols.runtime.events import EntryBatched
+from repro.protocols.runtime.load import PIPELINE_WINDOW
 from repro.topology import nationwide_cluster
 from repro.workloads import make_workload
 
@@ -74,11 +76,24 @@ PER_ENTRY_BYTES = 640
 
 
 @pytest.mark.parametrize(
-    "variant", ["plain", "crash_group_0", "observers_all", "observer_leaves"]
+    "variant",
+    [
+        "plain",
+        "crash_group_0",
+        "observers_all",
+        "observer_leaves",
+        "real_plain",
+        "real_crash_group_0",
+        "real_observers_all",
+    ],
 )
 def test_only_entries_some_live_observer_lacks_hold_a_batch(variant):
+    real = variant.startswith("real_")
+    variant = variant.removeprefix("real_")
+    options = {"coding": "real", "execution": "full"} if real else {}
     deployment = deployment_3x4(
-        observers="leaders" if variant in ("plain", "crash_group_0") else "all"
+        observers="leaders" if variant in ("plain", "crash_group_0") else "all",
+        **options,
     )
     if variant == "crash_group_0":
         deployment.crash_group_at(0, 1.0)
@@ -93,10 +108,20 @@ def test_only_entries_some_live_observer_lacks_hold_a_batch(variant):
     held = {e for e, entry in entries.items() if entry.released_at is None}
     lacking = {e for e in entries if not all(executed_by(n, e) for n in live)}
     assert held == lacking
+    # The payload bytes go with the batch.
+    assert held == {e for e, entry in entries.items() if entry._payload is not None}
     assert len(entries) - len(held) > 50
     for entry_id in set(entries) - held:
-        with pytest.raises(EntryReleased):
-            entries[entry_id].batch
+        for name in ("batch", "payload"):
+            with pytest.raises(EntryReleased):
+                getattr(entries[entry_id], name)
+    if real and variant != "crash_group_0":
+        # Without a stall, what is held is what is in flight: at most a
+        # pipeline window of entries per group, a few percent of the run.
+        kept = sum(len(entries[e].payload) for e in held)
+        largest = max(entry.payload_size for entry in entries.values())
+        assert kept <= len(deployment.groups) * PIPELINE_WINDOW * largest
+        assert kept < sum(entry.payload_size for entry in entries.values()) // 10
 
     # 8 B per committed transaction (the latency column, plus its growth
     # slack of at most 1/16) and a fixed cost per entry.
@@ -126,16 +151,21 @@ def test_released_entry_keeps_its_size_count_and_digest():
         [Transaction("w", (), ("k",), payload_bytes=40, created_at=0.1)] * 3
     )
     entry = LogEntry(gid=1, seq=4, payload=b"body", batch=batch, declared_size=500)
-    before = (entry.tx_count, entry.size_bytes, entry.digest, entry.payload)
+    before = (entry.tx_count, entry.payload_size, entry.size_bytes, entry.digest)
     entry.release(2.5)
-    assert (entry.tx_count, entry.size_bytes, entry.digest, entry.payload) == before
-    assert before[0] == 3
-    for name in ("batch", "transactions"):
+    assert (entry.tx_count, entry.payload_size, entry.size_bytes, entry.digest) == before
+    assert before[:3] == (3, 4, 500)
+    for name in ("payload", "batch", "transactions"):
         with pytest.raises(EntryReleased, match=r"e1,4 .* t=2\.500000 s") as raised:
             getattr(entry, name)
         assert raised.value.entry_id == EntryId(1, 4)
         assert raised.value.released_at == 2.5
         assert not isinstance(raised.value, AttributeError)
+    # Release caches the digest even when nothing read it before, and an
+    # entry without a declared size keeps the payload's.
+    unread = LogEntry(gid=1, seq=4, payload=b"body", batch=batch)
+    unread.release(2.5)
+    assert (unread.digest, unread.size_bytes) == (before[3], 4)
 
 
 def test_run_entries_keep_what_later_readers_use():

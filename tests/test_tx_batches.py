@@ -775,6 +775,18 @@ def capture_batches(deployment):
     return batches
 
 
+def capture_payloads(deployment):
+    """Every entry's payload bytes, by entry id, taken as the entry
+    forms: an entry drops its payload with its batch."""
+    payloads = {}
+
+    def on_batched(event):
+        payloads[event.entry_id] = deployment.entries[event.entry_id].payload
+
+    deployment.bus.subscribe(EntryBatched, on_batched)
+    return payloads
+
+
 def deep_size(obj, seen):
     """Bytes reachable from ``obj`` (containers, slots, scalars)."""
     if id(obj) in seen:
@@ -846,7 +858,7 @@ class TestNoMaterialisation:
         assert entries and all(batch._txns is None for batch in batches.values())
         # The bytes that travelled and the writes that landed are real.
         assert all(
-            len(e.payload) == batches[e.entry_id].size_bytes + 4 * e.tx_count
+            e.payload_size == batches[e.entry_id].size_bytes + 4 * e.tx_count
             for e in entries
         )
         store = deployment.observer_of(0).pipeline.store
@@ -1036,11 +1048,13 @@ def test_real_full_run_ships_and_executes_what_the_parent_commit_did(monkeypatch
     monkeypatch.setattr(transactions, "_next_tx_id", 1)
     deployment = fig08_shaped(offered_load=6_000.0, coding="real", execution="full")
     executed, _ = record_executed(deployment)
+    shipped = capture_payloads(deployment)
     metrics = deployment.run(duration=0.6, warmup=0.15)
+    assert shipped.keys() == deployment.entries.keys()
     payloads, digests = hashlib.sha256(), hashlib.sha256()
     for entry_id in sorted(deployment.entries):
         entry = deployment.entries[entry_id]
-        payloads.update(entry.payload)
+        payloads.update(shipped[entry_id])
         digests.update(entry.digest)
     observers = sorted(
         (node for node in deployment.nodes.values() if node.is_observer),
@@ -1061,3 +1075,40 @@ def test_real_full_run_ships_and_executes_what_the_parent_commit_did(monkeypatch
         stores,
     ) == PARENT_REAL_FULL
     assert all(node.pipeline.executor.total_aborted > 0 for node in observers)
+
+
+def test_observer_stores_share_each_written_column_and_hold_what_they_did():
+    """A batch builds each row's storage key and new column value once,
+    so every observer's store holds the same string objects: the same
+    key objects, and where two stores hold the same value for a key, one
+    value object. What each store holds is still the per-transaction
+    reference's, replayed over that observer's own ledger order."""
+    deployment = fig08_shaped(
+        offered_load=6_000.0, coding="real", execution="full", observers="all"
+    )
+    batches = capture_batches(deployment)
+    deployment.run(duration=0.6, warmup=0.15)
+    observers = [node for node in deployment.nodes.values() if node.is_observer]
+    assert len(observers) == 12
+
+    for node in observers:
+        reference = FullReferencePipeline(plain_ycsb_logic(), KVStore())
+        for entry_id in node.ledger.order():
+            reference.execute_entry(batches[entry_id].transactions)
+        assert store_state(node.pipeline.store) == store_state(reference.store)
+
+    first = observers[0].pipeline.store._data
+    key_objects = {id(key) for key in first}
+    shared = 0
+    for node in observers[1:]:
+        other = node.pipeline.store._data
+        common = first.keys() & other.keys()
+        assert len(common) > 1_000
+        # The batch that first wrote a key is the same everywhere.
+        assert all(id(key) in key_objects for key in other if key in first)
+        for key in common:
+            if first[key] == other[key]:
+                assert first[key] is other[key]
+                shared += 1
+    # Observers a few entries apart still agree on almost every column.
+    assert shared > 0.9 * len(first) * (len(observers) - 1)
