@@ -118,9 +118,6 @@ class ExperimentRunner:
         self.results.append(result)
         return result
 
-    def sweep(self, configs: List[RunConfig]) -> List[RunResult]:
-        return [self.run(config) for config in configs]
-
     def run_calibrated(self, config: RunConfig) -> RunResult:
         """Two-phase measurement: saturate for peak throughput, then rerun
         near capacity for representative latency.

@@ -1,46 +1,31 @@
 """Practical Byzantine Fault Tolerance (Castro & Liskov) for local consensus.
 
-Two implementations share one observable contract ("entries commit in
-sequence order on every correct group member, each with a 2f+1 quorum
-certificate"):
-
-* :class:`PbftReplica` — the full message-level protocol: pre-prepare /
-  prepare / commit, view changes on leader failure, checkpoint-based log
-  truncation, and the *prepare-skipping* mode used by the global accept
-  phase (the receiving group does not need to agree on the input because
-  the sender group already certified it — Section II-A, after Ziziphus).
-
-* :class:`ModeledPbftGroup` — a calibrated aggregate model that produces
-  the same commits with the same timing/traffic characteristics but one
-  simulator event per entry (the commit at the leader, the only member
-  that acts on it) instead of O(n^2) messages. Large-scale benchmark
-  sweeps use it; correctness tests and the fault experiments use the full
-  replica.
+:class:`ModeledPbftGroup` is the local consensus every deployment runs:
+a closed-form model of one group's PBFT round (Section II-A). It keeps
+PBFT's observable contract -- entries commit in sequence order, each
+with a 2f+1 quorum certificate, and the group stalls once more than f
+members have crashed -- while costing O(n) work and one simulator event
+per entry instead of O(n^2) messages. The leader's value push queues on
+its LAN NIC and every member's verification on its CPU; prepare and
+commit votes are billed to the LAN byte counter and as LAN delays, not
+sent as messages. The *prepare-skipping* variant (``skip_prepare``) is
+the global accept phase's: the receiving group need not agree on an
+input the sender group already certified (after Ziziphus).
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.consensus.messages import (
-    Checkpoint,
-    Commit,
-    NewView,
-    PrePrepare,
-    Prepare,
-    ViewChange,
-)
 from repro.costs import CostModel
 from repro.crypto.certificates import DeferredCertificate, QuorumCertificate
 from repro.crypto.hashing import digest
 from repro.crypto.keystore import KeyStore
-from repro.sim.network import Message, NodeAddress
+from repro.sim.network import NodeAddress
 from repro.sim.node import SimNode
 
-#: Callback invoked on each replica when a slot commits:
+#: Callback invoked on a member when a round commits there:
 #: ``fn(seq, value, certificate)``.
 CommitCallback = Callable[[int, Any, QuorumCertificate], None]
 
@@ -53,524 +38,6 @@ def value_digest(value: Any) -> bytes:
     if callable(explicit):
         return explicit()
     return digest(repr(value))
-
-
-@dataclass
-class PbftConfig:
-    """Static configuration of one PBFT group instance."""
-
-    members: Tuple[NodeAddress, ...]
-    checkpoint_interval: int = 128
-    view_change_timeout: float = 1.0
-    #: Successive view changes without progress back off geometrically …
-    view_change_backoff: float = 2.0
-    #: … up to this cap (seconds, before jitter).
-    view_change_timeout_max: float = 8.0
-    #: Fractional jitter on backed-off timeouts, drawn from a per-replica
-    #: seeded stream so replicas desynchronize instead of thrashing in
-    #: lockstep under sustained leader loss. The *first* timeout of a
-    #: round is exact (no jitter), so fault-free runs are unchanged.
-    view_change_jitter: float = 0.1
-    #: Label namespacing signatures when one node runs several instances.
-    instance: str = "pbft"
-
-    def __post_init__(self) -> None:
-        if len(self.members) < 4:
-            raise ValueError(
-                f"PBFT needs n >= 4 members (3f+1, f >= 1), got {len(self.members)}"
-            )
-        self.members = tuple(sorted(self.members))
-
-    @property
-    def n(self) -> int:
-        return len(self.members)
-
-    @property
-    def f(self) -> int:
-        """Tolerated Byzantine members: floor((n-1)/3)."""
-        return (self.n - 1) // 3
-
-    @property
-    def quorum(self) -> int:
-        return 2 * self.f + 1
-
-    def leader_of(self, view: int) -> NodeAddress:
-        return self.members[view % self.n]
-
-
-@dataclass
-class _Slot:
-    """Per-sequence-number consensus state."""
-
-    seq: int
-    view: int = 0
-    pre_prepare: Optional[PrePrepare] = None
-    value: Any = None
-    value_digest: Optional[bytes] = None
-    prepares: Dict[NodeAddress, Any] = field(default_factory=dict)
-    commits: Dict[NodeAddress, Any] = field(default_factory=dict)
-    prepared: bool = False
-    committed: bool = False
-    executed: bool = False
-
-
-class PbftReplica:
-    """One group member's full PBFT state machine.
-
-    Attach one replica per node; the replica registers handlers on the
-    node for the PBFT message types (namespaced per instance via the
-    payload's ``instance`` check — one node may host several instances,
-    e.g. entry consensus and accept consensus, distinguished by config).
-    """
-
-    def __init__(
-        self,
-        node: SimNode,
-        config: PbftConfig,
-        keystore: KeyStore,
-        on_committed: CommitCallback,
-        costs: Optional[CostModel] = None,
-    ) -> None:
-        if node.addr not in config.members:
-            raise ValueError(f"{node.addr} is not a member of this PBFT group")
-        self.node = node
-        self.config = config
-        self.keystore = keystore
-        self.on_committed = on_committed
-        self.costs = costs or CostModel()
-        keystore.register(node.addr)
-
-        self.view = 0
-        self.next_seq = 0  # leader's next sequence number to assign
-        self.last_executed = -1
-        self.stable_checkpoint = -1
-        self.slots: Dict[int, _Slot] = {}
-        self._checkpoints: Dict[int, Dict[NodeAddress, bytes]] = {}
-        self._executed_digests: List[bytes] = []
-
-        self._in_view_change = False
-        self._view_changes: Dict[int, Dict[NodeAddress, ViewChange]] = {}
-        self._vc_timer = None
-        #: Consecutive view changes without execution progress; indexes the
-        #: exponential backoff schedule.
-        self._vc_round = 0
-        self._pending_view = 0
-        # Jitter must be deterministic per (instance, replica) and stable
-        # across processes: seed from a cryptographic digest, never from
-        # hash() (PYTHONHASHSEED) or wall-clock state.
-        seed_material = digest(f"vc:{config.instance}:{node.addr!r}".encode())
-        self._vc_rng = random.Random(int.from_bytes(seed_material[:8], "big"))
-
-        node.on(PrePrepare, self._on_pre_prepare_msg)
-        node.on(Prepare, self._on_prepare_msg)
-        node.on(Commit, self._on_commit_msg)
-        node.on(Checkpoint, self._on_checkpoint_msg)
-        node.on(ViewChange, self._on_view_change_msg)
-        node.on(NewView, self._on_new_view_msg)
-
-    # ------------------------------------------------------------------
-    # Role helpers
-    # ------------------------------------------------------------------
-
-    @property
-    def is_leader(self) -> bool:
-        return self.config.leader_of(self.view) == self.node.addr
-
-    @property
-    def leader(self) -> NodeAddress:
-        return self.config.leader_of(self.view)
-
-    def _slot(self, seq: int) -> _Slot:
-        slot = self.slots.get(seq)
-        if slot is None:
-            slot = _Slot(seq=seq)
-            self.slots[seq] = slot
-        return slot
-
-    # ------------------------------------------------------------------
-    # Normal case
-    # ------------------------------------------------------------------
-
-    def propose(self, value: Any, skip_prepare: bool = False) -> int:
-        """Leader API: start consensus on ``value``; returns its sequence.
-
-        ``skip_prepare`` runs the two-phase accept variant (pre-prepare +
-        commit) used when the value is already certified externally.
-        """
-        if not self.is_leader:
-            raise RuntimeError(
-                f"{self.node.addr} is not the leader of view {self.view}"
-            )
-        if self._in_view_change:
-            raise RuntimeError("cannot propose during a view change")
-        seq = self.next_seq
-        self.next_seq += 1
-        pp = PrePrepare(
-            view=self.view,
-            seq=seq,
-            digest=value_digest(value),
-            value=value,
-            skip_prepare=skip_prepare,
-        )
-        self.node.broadcast_local(pp, pp.size_bytes)
-        self._accept_pre_prepare(pp)
-        return seq
-
-    def _on_pre_prepare_msg(self, msg: Message) -> None:
-        pp: PrePrepare = msg.payload
-        if pp.view != self.view or self._in_view_change:
-            return
-        if msg.src != self.leader:
-            return  # only the leader of this view may pre-prepare
-        if pp.seq <= self.stable_checkpoint:
-            return
-        slot = self._slot(pp.seq)
-        if slot.value_digest is not None and slot.value_digest != pp.digest:
-            # Equivocating leader: keep first, trigger a view change.
-            self._start_view_change(self.view + 1)
-            return
-        # Validating the value costs CPU (tx signature verification).
-        self.node.consume_cpu(
-            self.costs.value_verify_seconds(pp.value),
-            lambda: self._accept_pre_prepare(pp),
-        )
-
-    def _accept_pre_prepare(self, pp: PrePrepare) -> None:
-        if pp.view != self.view or self._in_view_change:
-            return
-        slot = self._slot(pp.seq)
-        if slot.pre_prepare is not None:
-            return
-        slot.pre_prepare = pp
-        slot.view = pp.view
-        slot.value = pp.value
-        slot.value_digest = pp.digest
-        self._arm_view_change_timer()
-        if pp.skip_prepare:
-            slot.prepared = True
-            self._broadcast_commit(slot)
-        else:
-            if not self.is_leader:
-                prepare = Prepare(
-                    view=self.view,
-                    seq=pp.seq,
-                    digest=pp.digest,
-                    sender=self.node.addr,
-                    signature=self._sign("prepare", pp.seq, pp.digest),
-                )
-                self.node.broadcast_local(prepare, prepare.size_bytes)
-                slot.prepares[self.node.addr] = prepare.signature
-            self._check_prepared(slot)
-
-    def _on_prepare_msg(self, msg: Message) -> None:
-        prepare: Prepare = msg.payload
-        if prepare.view != self.view or self._in_view_change:
-            return
-        if not self.keystore.verify_from(
-            prepare.sender,
-            self._statement("prepare", prepare.seq, prepare.digest),
-            prepare.signature,
-        ):
-            return
-        slot = self._slot(prepare.seq)
-        if slot.value_digest is not None and slot.value_digest != prepare.digest:
-            return
-        slot.prepares[prepare.sender] = prepare.signature
-        self._check_prepared(slot)
-
-    def _check_prepared(self, slot: _Slot) -> None:
-        if slot.prepared or slot.pre_prepare is None:
-            return
-        # The leader's pre-prepare counts as its prepare.
-        votes = set(slot.prepares)
-        votes.add(self.config.leader_of(slot.view))
-        if len(votes) >= self.config.quorum:
-            slot.prepared = True
-            self._broadcast_commit(slot)
-
-    def _broadcast_commit(self, slot: _Slot) -> None:
-        commit = Commit(
-            view=slot.view,
-            seq=slot.seq,
-            digest=slot.value_digest,
-            sender=self.node.addr,
-            signature=self._sign("commit", slot.seq, slot.value_digest),
-        )
-        self.node.broadcast_local(commit, commit.size_bytes)
-        slot.commits[self.node.addr] = commit.signature
-        self._check_committed(slot)
-
-    def _on_commit_msg(self, msg: Message) -> None:
-        commit: Commit = msg.payload
-        if self._in_view_change:
-            return
-        if not self.keystore.verify_from(
-            commit.sender,
-            self._statement("commit", commit.seq, commit.digest),
-            commit.signature,
-        ):
-            return
-        slot = self._slot(commit.seq)
-        if slot.value_digest is not None and slot.value_digest != commit.digest:
-            return
-        slot.commits[commit.sender] = commit.signature
-        self._check_committed(slot)
-
-    def _check_committed(self, slot: _Slot) -> None:
-        if slot.committed or not slot.prepared or slot.pre_prepare is None:
-            return
-        if len(slot.commits) >= self.config.quorum:
-            slot.committed = True
-            self._execute_ready()
-
-    def _execute_ready(self) -> None:
-        """Deliver committed slots in sequence order."""
-        while True:
-            slot = self.slots.get(self.last_executed + 1)
-            if slot is None or not slot.committed or slot.executed:
-                break
-            slot.executed = True
-            self.last_executed = slot.seq
-            self._executed_digests.append(slot.value_digest)
-            cert = QuorumCertificate.assemble(
-                self._statement("commit", slot.seq, slot.value_digest),
-                dict(list(slot.commits.items())[: self.config.quorum]),
-            )
-            self._disarm_view_change_timer_if_idle()
-            self.on_committed(slot.seq, slot.value, cert)
-            if (slot.seq + 1) % self.config.checkpoint_interval == 0:
-                self._emit_checkpoint(slot.seq)
-
-    # ------------------------------------------------------------------
-    # Checkpoints (log truncation)
-    # ------------------------------------------------------------------
-
-    def _state_digest(self) -> bytes:
-        from repro.crypto.hashing import combine_digests
-
-        return combine_digests(self._executed_digests[-1:] or [b""])
-
-    def _emit_checkpoint(self, seq: int) -> None:
-        cp = Checkpoint(
-            seq=seq,
-            state_digest=self._state_digest(),
-            sender=self.node.addr,
-            signature=self._sign("checkpoint", seq, self._state_digest()),
-        )
-        self.node.broadcast_local(cp, cp.size_bytes)
-        self._record_checkpoint(cp)
-
-    def _on_checkpoint_msg(self, msg: Message) -> None:
-        cp: Checkpoint = msg.payload
-        if not self.keystore.verify_from(
-            cp.sender,
-            self._statement("checkpoint", cp.seq, cp.state_digest),
-            cp.signature,
-        ):
-            return
-        self._record_checkpoint(cp)
-
-    def _record_checkpoint(self, cp: Checkpoint) -> None:
-        votes = self._checkpoints.setdefault(cp.seq, {})
-        votes[cp.sender] = cp.state_digest
-        if len(votes) >= self.config.quorum and cp.seq > self.stable_checkpoint:
-            self.stable_checkpoint = cp.seq
-            for seq in [s for s in self.slots if s <= cp.seq]:
-                del self.slots[seq]
-            for seq in [s for s in self._checkpoints if s <= cp.seq]:
-                del self._checkpoints[seq]
-
-    # ------------------------------------------------------------------
-    # View changes
-    # ------------------------------------------------------------------
-
-    def view_change_delay(self) -> float:
-        """Current view-change timeout: exponential backoff plus jitter.
-
-        Round 0 (no recent view change) is exactly
-        ``view_change_timeout`` so fault-free timing is unchanged; each
-        further round multiplies by ``view_change_backoff`` up to
-        ``view_change_timeout_max``, then adds seeded multiplicative
-        jitter so replicas spread out instead of re-suspecting the new
-        leader in lockstep.
-        """
-        base = self.config.view_change_timeout * (
-            self.config.view_change_backoff**self._vc_round
-        )
-        base = min(base, self.config.view_change_timeout_max)
-        if self._vc_round == 0:
-            return base
-        return base * (1.0 + self.config.view_change_jitter * self._vc_rng.random())
-
-    def _arm_view_change_timer(self) -> None:
-        if self._vc_timer is None or not self._vc_timer.active:
-            self._vc_timer = self.node.set_timer(
-                self.view_change_delay(), self._on_progress_timeout
-            )
-
-    def _disarm_view_change_timer_if_idle(self) -> None:
-        pending = any(
-            not slot.committed and slot.pre_prepare is not None
-            for slot in self.slots.values()
-        )
-        if not pending:
-            # Execution progress: the backoff schedule starts over.
-            self._vc_round = 0
-            if self._vc_timer is not None and self._vc_timer.active:
-                self._vc_timer.cancel()
-
-    def _on_progress_timeout(self) -> None:
-        pending = any(
-            not slot.committed and slot.pre_prepare is not None
-            for slot in self.slots.values()
-        )
-        if pending:
-            self._start_view_change(self.view + 1)
-
-    def suspect_leader(self) -> None:
-        """External liveness hook: a client/protocol suspects the leader."""
-        self._start_view_change(self.view + 1)
-
-    def _start_view_change(self, new_view: int) -> None:
-        if new_view <= self.view and not self._in_view_change:
-            return
-        if self._in_view_change and new_view <= self._pending_view:
-            return  # already campaigning for this view or a later one
-        self._in_view_change = True
-        self._pending_view = new_view
-        self._vc_round += 1
-        # Escalation: if this view change itself stalls (the prospective
-        # leader is also down), time out — with backoff — into view+1.
-        if self._vc_timer is not None and self._vc_timer.active:
-            self._vc_timer.cancel()
-        self._vc_timer = self.node.set_timer(
-            self.view_change_delay(), self._on_view_change_stalled
-        )
-        prepared_proofs = tuple(
-            (slot.seq, slot.value_digest)
-            for slot in sorted(self.slots.values(), key=lambda s: s.seq)
-            if slot.prepared and not slot.committed and slot.value_digest
-        )
-        vc = ViewChange(
-            new_view=new_view,
-            last_stable_seq=self.stable_checkpoint,
-            prepared=prepared_proofs,
-            sender=self.node.addr,
-            signature=self._sign("viewchange", new_view, b""),
-        )
-        self.node.broadcast_local(vc, vc.size_bytes)
-        self._record_view_change(vc)
-
-    def _on_view_change_msg(self, msg: Message) -> None:
-        vc: ViewChange = msg.payload
-        if vc.new_view <= self.view:
-            return
-        if not self.keystore.verify_from(
-            vc.sender, self._statement("viewchange", vc.new_view, b""), vc.signature
-        ):
-            return
-        self._record_view_change(vc)
-        # Liveness rule: join a view change once f+1 members are in it.
-        votes = self._view_changes.get(vc.new_view, {})
-        if len(votes) > self.config.f and not self._in_view_change:
-            self._start_view_change(vc.new_view)
-
-    def _record_view_change(self, vc: ViewChange) -> None:
-        votes = self._view_changes.setdefault(vc.new_view, {})
-        votes[vc.sender] = vc
-        if (
-            len(votes) >= self.config.quorum
-            and self.config.leader_of(vc.new_view) == self.node.addr
-            and vc.new_view > self.view
-        ):
-            self._broadcast_new_view(vc.new_view, votes)
-
-    def _broadcast_new_view(
-        self, new_view: int, votes: Dict[NodeAddress, ViewChange]
-    ) -> None:
-        # Re-propose every prepared-but-uncommitted value this (new) leader
-        # holds. Digests it lacks the value for would be state-transferred
-        # in a real deployment; with 2f+1 honest view-change participants
-        # the new leader prepared them too in all our scenarios.
-        reproposals = []
-        max_seq = self.stable_checkpoint
-        prepared_seqs: Set[int] = set()
-        for vc in votes.values():
-            for seq, _ in vc.prepared:
-                prepared_seqs.add(seq)
-                max_seq = max(max_seq, seq)
-        for seq in sorted(prepared_seqs):
-            slot = self.slots.get(seq)
-            if slot is not None and slot.value is not None and not slot.committed:
-                reproposals.append(
-                    PrePrepare(
-                        view=new_view,
-                        seq=seq,
-                        digest=slot.value_digest,
-                        value=slot.value,
-                        skip_prepare=slot.pre_prepare.skip_prepare
-                        if slot.pre_prepare
-                        else False,
-                    )
-                )
-        nv = NewView(
-            new_view=new_view,
-            view_changes=tuple(votes.values()),
-            reproposals=tuple(reproposals),
-        )
-        self.node.broadcast_local(nv, nv.size_bytes)
-        self._adopt_new_view(nv)
-
-    def _on_new_view_msg(self, msg: Message) -> None:
-        nv: NewView = msg.payload
-        if nv.new_view <= self.view:
-            return
-        if msg.src != self.config.leader_of(nv.new_view):
-            return
-        if len({vc.sender for vc in nv.view_changes}) < self.config.quorum:
-            return
-        self._adopt_new_view(nv)
-
-    def _on_view_change_stalled(self) -> None:
-        if self._in_view_change:
-            self._start_view_change(self._pending_view + 1)
-
-    def _adopt_new_view(self, nv: NewView) -> None:
-        self.view = nv.new_view
-        self._in_view_change = False
-        self._pending_view = nv.new_view
-        self._vc_round = 0
-        if self._vc_timer is not None and self._vc_timer.active:
-            self._vc_timer.cancel()
-        self._view_changes = {
-            v: votes for v, votes in self._view_changes.items() if v > nv.new_view
-        }
-        # Reset per-slot votes gathered in prior views for uncommitted slots.
-        max_seq = self.stable_checkpoint
-        for slot in self.slots.values():
-            max_seq = max(max_seq, slot.seq)
-            if not slot.committed:
-                slot.prepares.clear()
-                slot.commits.clear()
-                slot.prepared = False
-                slot.pre_prepare = None
-        self.next_seq = max_seq + 1
-        for pp in nv.reproposals:
-            self._accept_pre_prepare(pp)
-
-    # ------------------------------------------------------------------
-    # Signing helpers
-    # ------------------------------------------------------------------
-
-    def _statement(self, phase: str, seq: int, dig: bytes) -> bytes:
-        return (
-            f"{self.config.instance}:{phase}:{seq}:".encode("utf-8") + (dig or b"")
-        )
-
-    def _sign(self, phase: str, seq: int, dig: bytes):
-        return self.keystore.sign_as(
-            self.node.addr, self._statement(phase, seq, dig)
-        )
 
 
 class _Round:

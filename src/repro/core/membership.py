@@ -143,6 +143,3 @@ class MembershipLog:
 
     def members_at(self, gid: int, epoch: int) -> Tuple[NodeAddress, ...]:
         return self.at_epoch(gid, epoch).members
-
-    def groups(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._views))

@@ -91,9 +91,6 @@ class DeterministicOrderer:
             self.states[entry_id] = state
         return state
 
-    def vts_of(self, gid: int, seq: int) -> VectorTimestamp:
-        return self._state(gid, seq).vts
-
     # ------------------------------------------------------------------
     # Event inputs
     # ------------------------------------------------------------------
@@ -194,12 +191,6 @@ class RoundBasedOrderer:
         self.delivered: Dict[int, Set[int]] = {g: set() for g in range(n_groups)}
         self.current_round = 1
         self.executed_count = 0
-
-    def exclude_group(self, gid: int) -> None:
-        """Remove a group from the round barrier (administrative action
-        after a permanent group failure)."""
-        self.active.discard(gid)
-        self._drain()
 
     def deliver(self, gid: int, seq: int) -> None:
         """Entry ``e_{gid,seq}`` is locally committed (round = seq)."""

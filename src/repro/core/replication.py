@@ -645,7 +645,7 @@ class EncodedBijectiveTransport(_TransportBase):
         pending.sort()
         now = node.sim.position
         network = node.network
-        crashes = network.down_log
+        crashes = network.crashed_at
         receiver = node.addr
         taken = 0
         for at, slot, sender, chunk in pending:

@@ -72,20 +72,6 @@ class TransferPlan:
             raise IndexError(f"sender id {sender} out of range [0, {self.n1})")
         return self.by_sender[sender]
 
-    def chunks_received_by(self, receiver: int) -> Tuple[TransferAssignment, ...]:
-        """The assignments where group-2 node ``receiver`` receives."""
-        if not 0 <= receiver < self.n2:
-            raise IndexError(f"receiver id {receiver} out of range [0, {self.n2})")
-        return self.by_receiver[receiver]
-
-    def surviving_chunks(self, faulty_senders: set, faulty_receivers: set) -> set:
-        """Chunk ids guaranteed delivered given faulty node index sets."""
-        return {
-            a.chunk
-            for a in self.assignments
-            if a.sender not in faulty_senders and a.receiver not in faulty_receivers
-        }
-
 
 def faulty_bound(n: int) -> int:
     """Byzantine nodes tolerated in a group of ``n``: floor((n-1)/3)."""
@@ -99,7 +85,7 @@ def generate_transfer_plan(n1: int, n2: int) -> TransferPlan:
 
     The per-node views of the paper's pseudocode (a sender's tuples, a
     receiver's tuples) are :meth:`TransferPlan.chunks_sent_by` and
-    :meth:`TransferPlan.chunks_received_by`; generating the full plan once
+    ``TransferPlan.by_receiver``; generating the full plan once
     and slicing keeps the two views consistent by construction.
     """
     if n1 < 1 or n2 < 1:

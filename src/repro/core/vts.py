@@ -12,7 +12,7 @@ full ties by (seq, gid) — Lemma V.4's strict total order.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 
 class GroupClock:
@@ -83,29 +83,8 @@ class VectorTimestamp:
         """True when every element has been definitively assigned."""
         return all(self.is_set)
 
-    def as_tuple(self) -> Tuple[int, ...]:
-        return tuple(self.values)
-
     def __repr__(self) -> str:
         parts = [
             f"{v}" if s else f"~{v}" for v, s in zip(self.values, self.is_set)
         ]
         return f"<{', '.join(parts)}>"
-
-
-def compare_complete(
-    vts_a: Tuple[int, ...], seq_a: int, gid_a: int,
-    vts_b: Tuple[int, ...], seq_b: int, gid_b: int,
-) -> int:
-    """Lemma V.4's strict total order on fully-assigned VTSs.
-
-    Returns -1 if a precedes b, 1 if b precedes a. (0 is impossible for
-    distinct entries: (vts, seq, gid) is unique.)
-    """
-    if vts_a != vts_b:
-        return -1 if vts_a < vts_b else 1
-    if seq_a != seq_b:
-        return -1 if seq_a < seq_b else 1
-    if gid_a != gid_b:
-        return -1 if gid_a < gid_b else 1
-    return 0

@@ -15,7 +15,7 @@ Provides the primitives MassBFT relies on (Section III-A, IV-C):
 """
 
 from repro.crypto.certificates import QuorumCertificate
-from repro.crypto.hashing import digest, digest_hex, combine_digests
+from repro.crypto.hashing import digest
 from repro.crypto.keystore import KeyStore
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.signatures import KeyPair, Signature, sign, verify
@@ -27,9 +27,7 @@ __all__ = [
     "MerkleTree",
     "QuorumCertificate",
     "Signature",
-    "combine_digests",
     "digest",
-    "digest_hex",
     "sign",
     "verify",
 ]

@@ -9,7 +9,7 @@ certificates bind to exact entry contents) hold for real, not by fiat.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Union
+from typing import Union
 
 DIGEST_SIZE = 32
 
@@ -25,17 +25,3 @@ def _as_bytes(data: Hashable) -> bytes:
 def digest(data: Hashable) -> bytes:
     """SHA-256 of ``data`` (strings are UTF-8 encoded)."""
     return hashlib.sha256(_as_bytes(data)).digest()
-
-
-def digest_hex(data: Hashable) -> str:
-    """Hex-encoded SHA-256, convenient for logs and dict keys."""
-    return hashlib.sha256(_as_bytes(data)).hexdigest()
-
-
-def combine_digests(parts: Iterable[bytes]) -> bytes:
-    """Hash a sequence of digests into one (domain-separated, order-sensitive)."""
-    h = hashlib.sha256(b"repro.combine:")
-    for part in parts:
-        h.update(len(part).to_bytes(4, "big"))
-        h.update(part)
-    return h.digest()

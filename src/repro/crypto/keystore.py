@@ -21,8 +21,8 @@ from repro.crypto.hashing import Hashable, _as_bytes
 from repro.crypto.signatures import KeyPair, Signature, sign, verify
 
 #: Entries kept in the verification memo before it is dropped wholesale.
-#: PBFT re-checks the same (signer, statement, mac) triple on every
-#: receiving replica and again during certificate audits, so hits vastly
+#: Certificate audits re-check the same (signer, statement, mac) triple
+#: at every group that validates the certificate, so hits vastly
 #: outnumber misses; a flush-at-limit bound keeps adversarial traffic
 #: from growing the memo without bound.
 _VERIFY_CACHE_LIMIT = 1 << 16
@@ -38,7 +38,6 @@ class KeyStore:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._keys: Dict[HashableKey, KeyPair] = {}
-        self._by_public: Dict[bytes, HashableKey] = {}
         self._verify_cache: Dict[Tuple[bytes, bytes, bytes], bool] = {}
 
     def register(self, identity: HashableKey) -> KeyPair:
@@ -48,14 +47,7 @@ class KeyStore:
             return existing
         keypair = KeyPair.generate(seed=f"{self.seed}:{identity!r}".encode("utf-8"))
         self._keys[identity] = keypair
-        self._by_public[keypair.public] = identity
         return keypair
-
-    def public_key(self, identity: HashableKey) -> bytes:
-        keypair = self._keys.get(identity)
-        if keypair is None:
-            raise KeyError(f"identity {identity!r} is not registered")
-        return keypair.public
 
     def sign_as(self, identity: HashableKey, message: Hashable) -> Signature:
         """Sign ``message`` with ``identity``'s private key."""
@@ -70,9 +62,8 @@ class KeyStore:
         """Verify that ``signature`` is ``identity``'s signature over ``message``.
 
         Results are memoized by (public key, message, mac): a signature is
-        immutable, so its verdict never changes, and the same prepare or
-        commit signature is re-checked by every receiving replica and
-        again whenever its certificate is audited.
+        immutable, so its verdict never changes, and the same certificate
+        signature is re-checked whenever its certificate is audited.
         """
         keypair = self._keys.get(identity)
         if keypair is None:
@@ -115,15 +106,6 @@ class KeyStore:
                 return None
             seen.add(identity)
         return len(seen)
-
-    def verify_any(self, message: Hashable, signature: Signature) -> Optional[HashableKey]:
-        """Verify a signature and return the signer identity, or None."""
-        identity = self._by_public.get(signature.signer)
-        if identity is None:
-            return None
-        if self.verify_from(identity, message, signature):
-            return identity
-        return None
 
     def __contains__(self, identity: HashableKey) -> bool:
         return identity in self._keys

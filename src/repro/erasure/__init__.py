@@ -13,7 +13,7 @@ The codec guarantees the property MassBFT's replication relies on
 their chunk indices — reconstruct the original message exactly.
 """
 
-from repro.erasure.chunking import pad_to_chunks, split_message, join_chunks
+from repro.erasure.chunking import pad_to_chunks, join_chunks
 from repro.erasure.galois import GF256
 from repro.erasure.matrix import Matrix
 from repro.erasure.reed_solomon import ReedSolomonCodec
@@ -24,5 +24,4 @@ __all__ = [
     "ReedSolomonCodec",
     "join_chunks",
     "pad_to_chunks",
-    "split_message",
 ]

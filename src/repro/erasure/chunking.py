@@ -38,12 +38,3 @@ def join_chunks(chunks: Sequence[bytes]) -> bytes:
             f"{len(framed) - _LENGTH_HEADER} bytes (corrupt chunks?)"
         )
     return framed[_LENGTH_HEADER : _LENGTH_HEADER + length]
-
-
-def split_message(message: bytes, chunk_size: int) -> List[bytes]:
-    """Split into fixed-size pieces (last piece may be short)."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if not message:
-        return [b""]
-    return [message[i : i + chunk_size] for i in range(0, len(message), chunk_size)]

@@ -53,14 +53,6 @@ class GF256:
         return _EXP[_LOG[a] + _LOG[b]]
 
     @staticmethod
-    def div(a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(256)")
-        if a == 0:
-            return 0
-        return _EXP[_LOG[a] - _LOG[b] + (_FIELD_SIZE - 1)]
-
-    @staticmethod
     def inverse(a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(256)")
@@ -74,20 +66,6 @@ class GF256:
             return 0
         log_result = (_LOG[a] * exponent) % (_FIELD_SIZE - 1)
         return _EXP[log_result]
-
-    @staticmethod
-    def mul_row(coefficient: int, data: bytes) -> bytes:
-        """Multiply every byte of ``data`` by ``coefficient``.
-
-        Runs as a single C-level ``bytes.translate`` through the
-        coefficient's 256-byte translation table instead of a Python
-        loop — the per-row kernel of Reed-Solomon coding.
-        """
-        if coefficient == 0:
-            return bytes(len(data))
-        if coefficient == 1:
-            return bytes(data)
-        return data.translate(GF256.mul_table(coefficient))
 
     @staticmethod
     def mul_table(coefficient: int) -> bytes:
@@ -104,21 +82,6 @@ class GF256:
             )
             _MUL_TABLE_CACHE[coefficient] = table
         return table
-
-    @staticmethod
-    def xor_rows(a: bytes, b: bytes) -> bytes:
-        """Byte-wise XOR of two equal-length rows.
-
-        Widens both rows to arbitrary-precision ints, XORs once in C, and
-        converts back — far faster than a per-byte Python loop for the
-        multi-KB rows the codec works on.
-        """
-        length = len(a)
-        if length != len(b):
-            raise ValueError(f"row length mismatch: {length} != {len(b)}")
-        return (
-            int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-        ).to_bytes(length, "big")
 
 
 _MUL_TABLE_CACHE: dict = {}

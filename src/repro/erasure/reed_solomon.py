@@ -207,11 +207,6 @@ class ReedSolomonCodec:
 
         return join_chunks(self.decode_chunks(available))
 
-    def chunk_size_for(self, message_length: int) -> int:
-        """Size of each chunk produced by :meth:`encode` for a message."""
-        padded = message_length + 8  # length header
-        return (padded + self.n_data - 1) // self.n_data
-
     @property
     def overhead(self) -> float:
         """Traffic amplification: total transmitted / useful data."""

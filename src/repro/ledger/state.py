@@ -2,8 +2,8 @@
 
 Matches the paper's "in-memory hash tables" database: a flat string-keyed
 store with table namespacing (``table/key``), batch-atomic writes (what
-Aria's commit phase applies), and a rolling state digest used for PBFT
-checkpoints.
+Aria's commit phase applies), and a state digest that determinism
+checks fingerprint a store with.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ class KVStore:
                 yield key, value
 
     def state_digest(self, sample: Optional[Iterable[str]] = None) -> bytes:
-        """Digest of (a sample of) the state, for checkpoint comparison.
+        """Digest of (a sample of) the state, for comparing stores.
 
-        Hashing the full store per checkpoint would dominate runtime; by
-        default a digest over store size and write counters is used, with
-        ``sample`` keys mixed in when byte-level comparison is wanted.
+        Hashing the full store would dominate runtime; by default a digest
+        over store size and write counters is used, with ``sample`` keys
+        mixed in when byte-level comparison is wanted.
         """
         parts = [f"{len(self._data)}:{self.writes_applied}"]
         if sample is not None:

@@ -80,13 +80,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name: str) -> Optional["Span"]:
-        """First descendant (or self) with ``name``, depth-first."""
-        for span in self.walk():
-            if span.name == name:
-                return span
-        return None
-
     def to_jsonable(self) -> Dict[str, Any]:
         """Flat JSON form (children referenced by ``parent_id``, not nested)."""
         return {

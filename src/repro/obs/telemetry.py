@@ -48,9 +48,6 @@ class TelemetryRegistry:
     def record(self, name: str, time: float, value: float) -> None:
         self.series(name).record(time, value)
 
-    def names(self) -> List[str]:
-        return list(self._series)
-
     def __len__(self) -> int:
         return len(self._series)
 

@@ -73,7 +73,7 @@ class Timer:
     call at any point, including from within the timer callback itself.
     """
 
-    __slots__ = ("_sim", "_callback", "_interval", "_initial_delay", "_event", "_active")
+    __slots__ = ("_sim", "_callback", "_interval", "_event", "_active")
 
     def __init__(
         self,
@@ -85,7 +85,6 @@ class Timer:
         self._sim = sim
         self._callback = callback
         self._interval = interval
-        self._initial_delay = delay
         self._active = True
         self._event = sim.schedule(delay, self._fire)
 
@@ -109,20 +108,6 @@ class Timer:
     def cancel(self) -> None:
         self._active = False
         self._event.cancel()
-
-    def reset(self, delay: Optional[float] = None) -> None:
-        """Restart the countdown (e.g. a Raft election timeout on heartbeat).
-
-        With no explicit ``delay``, a repeating timer restarts at its
-        interval and a one-shot timer restarts at its original delay.
-        """
-        self._event.cancel()
-        self._active = True
-        if delay is None:
-            # One-shot timers have no interval to fall back on; restart
-            # them at their original construction delay.
-            delay = self._interval if self._interval is not None else self._initial_delay
-        self._event = self._sim.schedule(delay, self._fire)
 
 
 class Simulator:

@@ -111,10 +111,6 @@ class Histogram:
             return 0.0
         return sum(self._summed()) / len(self.samples)
 
-    @property
-    def total(self) -> float:
-        return sum(self._summed())
-
     def percentile(self, pct: float) -> float:
         """Exact percentile via nearest-rank on the sorted samples."""
         if not self.samples:
@@ -137,20 +133,6 @@ class Histogram:
     def p999(self) -> float:
         """The 99.9th percentile — the tail SLOs are graded against."""
         return self.percentile(99.9)
-
-    @property
-    def max(self) -> float:
-        """Largest sample, via the sorted path shared with percentile()."""
-        if not self.samples:
-            return 0.0
-        return self._ensure_sorted()[-1]
-
-    @property
-    def min(self) -> float:
-        """Smallest sample, via the sorted path shared with percentile()."""
-        if not self.samples:
-            return 0.0
-        return self._ensure_sorted()[0]
 
 
 class _Windowed:
@@ -258,11 +240,10 @@ class RowSeries(_Windowed):
 
 
 class StatMonitor:
-    """A namespaced registry of counters and histograms."""
+    """A namespaced registry of counters."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
-        self.histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         counter = self.counters.get(name)
@@ -270,20 +251,3 @@ class StatMonitor:
             counter = Counter(name)
             self.counters[name] = counter
         return counter
-
-    def histogram(self, name: str) -> Histogram:
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = Histogram(name)
-            self.histograms[name] = hist
-        return hist
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat dict of counter values and histogram means, for reports."""
-        out: Dict[str, float] = {}
-        for name, counter in self.counters.items():
-            out[name] = float(counter.value)
-        for name, hist in self.histograms.items():
-            out[f"{name}.mean"] = hist.mean
-            out[f"{name}.count"] = float(hist.count)
-        return out

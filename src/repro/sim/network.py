@@ -23,7 +23,7 @@ partitions, and per-node crash/bandwidth overrides (Fig 14, Fig 15).
 from __future__ import annotations
 
 import os
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
@@ -97,7 +97,8 @@ class Message:
 
     ``payload`` is an arbitrary protocol object; ``size_bytes`` is the wire
     size used for bandwidth accounting (protocol messages compute it from
-    their contents, see :func:`repro.consensus.messages.wire_size`).
+    their contents: a :data:`repro.consensus.messages.HEADER_SIZE`
+    envelope plus digests, signatures and payload bytes).
     """
 
     src: NodeAddress
@@ -195,12 +196,6 @@ class ResourceQueue:
         self.jobs += count
         return finishes
 
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` this resource spent busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
-
     def backlog(self, now: float) -> float:
         """Seconds of queued work not yet completed."""
         return max(0.0, self.next_free - now)
@@ -266,10 +261,9 @@ class Network:
         self._lan_up: Dict[NodeAddress, ResourceQueue] = {}
         self._wan_up: Dict[NodeAddress, ResourceQueue] = {}
         self._wan_ctl: Dict[NodeAddress, ResourceQueue] = {}
-        self._crashed: set = set()
-        #: Per address, the event-order positions at which it crashed,
-        #: recovered, crashed, ... (see was_down). Empty until a crash.
-        self.down_log: Dict[NodeAddress, List[Tuple[float, int]]] = {}
+        #: Per crashed address, the event-order position at which it
+        #: crashed (see was_down). A crash is permanent.
+        self.crashed_at: Dict[NodeAddress, Tuple[float, int]] = {}
         self._partitioned_groups: set = set()
 
         # Traffic accounting (bytes), used by the Fig 10 experiment.
@@ -317,12 +311,6 @@ class Network:
         self._require_registered(addr)
         self._wan_up[addr].rate = wan_bandwidth
         self._wan_ctl[addr].rate = wan_bandwidth
-
-    def nodes(self) -> List[NodeAddress]:
-        return sorted(self._handlers)
-
-    def group_members(self, group: int) -> List[NodeAddress]:
-        return list(self._members(group))
 
     def _members(self, group: int) -> List[NodeAddress]:
         """Sorted member list, maintained incrementally by register()."""
@@ -377,28 +365,17 @@ class Network:
     def crash_node(self, addr: NodeAddress) -> None:
         """Silently drop all traffic to/from ``addr`` from now on."""
         self._require_registered(addr)
-        if addr not in self._crashed:
-            self._crashed.add(addr)
-            self.down_log.setdefault(addr, []).append(self.sim.position)
-
-    def recover_node(self, addr: NodeAddress) -> None:
-        if addr in self._crashed:
-            self._crashed.discard(addr)
-            self.down_log[addr].append(self.sim.position)
-
-    def crash_group(self, group: int) -> None:
-        """Simulate a data center outage (Fig 15 group failure)."""
-        for addr in self.group_members(group):
-            self.crash_node(addr)
+        if addr not in self.crashed_at:
+            self.crashed_at[addr] = self.sim.position
 
     def was_down(self, addr: NodeAddress, position: Tuple[float, int]) -> bool:
         """Whether ``addr`` was crashed at event-order ``position`` — what
         :meth:`_deliver` would have seen had it run there."""
-        log = self.down_log.get(addr)
-        return log is not None and bisect_right(log, position) % 2 == 1
+        at = self.crashed_at.get(addr)
+        return at is not None and position >= at
 
     def is_crashed(self, addr: NodeAddress) -> bool:
-        return addr in self._crashed
+        return addr in self.crashed_at
 
     def partition_group(self, group: int) -> None:
         """Cut WAN connectivity for a group (its LAN keeps working)."""
@@ -455,7 +432,7 @@ class Network:
             raise KeyError(f"node {dst} is not registered")
         if size_bytes < 0:
             raise ValueError("message size must be non-negative")
-        if src in self._crashed:
+        if src in self.crashed_at:
             return None
 
         now = self.sim.now
@@ -580,7 +557,7 @@ class Network:
         if size_bytes < 0:
             raise ValueError("message size must be non-negative")
         receivers = self._receivers(src.group, src, include_self)
-        if src in self._crashed:
+        if src in self.crashed_at:
             return receivers, ()
         now = self.sim.now
         bits = size_bytes * 8
@@ -648,7 +625,7 @@ class Network:
             raise KeyError(f"node {src} is not registered")
         if size_bytes < 0:
             raise ValueError("message size must be non-negative")
-        if src in self._crashed:
+        if src in self.crashed_at:
             return len(dsts)
 
         now = self.sim.now
@@ -687,7 +664,7 @@ class Network:
         return len(dsts)
 
     def _deliver(self, msg: Message) -> None:
-        if msg.dst in self._crashed or msg.src in self._crashed:
+        if msg.dst in self.crashed_at or msg.src in self.crashed_at:
             return
         handler = self._handlers.get(msg.dst)
         if handler is not None:
@@ -712,9 +689,6 @@ class Network:
 
     def wan_backlog(self, addr: NodeAddress) -> float:
         return self._wan_up[addr].backlog(self.sim.now)
-
-    def wan_bytes_sent(self, addr: NodeAddress) -> int:
-        return self.wan_bytes_by_node.get(addr, 0)
 
     def reset_traffic_accounting(self) -> None:
         """Zero the byte counters (used between warmup and measurement)."""

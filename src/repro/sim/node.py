@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Collection, Dict, Optional, Type
 
-from repro.sim.core import Simulator, Timer
+from repro.sim.core import Simulator
 from repro.sim.network import Message, Network, NodeAddress, ResourceQueue
 
 
@@ -153,24 +153,6 @@ class SimNode:
             fn()
 
     # ------------------------------------------------------------------
-    # Timers
-    # ------------------------------------------------------------------
-
-    def set_timer(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        interval: Optional[float] = None,
-    ) -> Timer:
-        """A timer that silently no-ops once this node has crashed."""
-
-        def guarded() -> None:
-            if not self.crashed:
-                callback()
-
-        return self.sim.set_timer(delay, guarded, interval)
-
-    # ------------------------------------------------------------------
     # Failure control
     # ------------------------------------------------------------------
 
@@ -178,10 +160,6 @@ class SimNode:
         """Stop processing and drop network traffic (also at the network)."""
         self.crashed = True
         self.network.crash_node(self.addr)
-
-    def recover(self) -> None:
-        self.crashed = False
-        self.network.recover_node(self.addr)
 
     def make_byzantine(self) -> None:
         """Flag this node as adversary-controlled.

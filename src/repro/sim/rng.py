@@ -37,8 +37,3 @@ class RngRegistry:
         stream = random.Random(int.from_bytes(digest[:8], "big"))
         self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per node) from this one."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode("utf-8")).digest()
-        return RngRegistry(seed=int.from_bytes(digest[:8], "big"))

@@ -78,10 +78,6 @@ class ClusterConfig:
         """Crashed groups tolerated: floor((n_g - 1) / 2) (global Raft)."""
         return (self.n_groups - 1) // 2
 
-    @property
-    def total_nodes(self) -> int:
-        return sum(g.n_nodes for g in self.groups)
-
     def group(self, gid: int) -> GroupConfig:
         return self.groups[gid]
 

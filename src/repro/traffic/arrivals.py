@@ -157,17 +157,6 @@ class RateCurve(abc.ABC):
     def peak(self) -> float:
         """An upper bound on :meth:`rate` over the whole run (> 0)."""
 
-    def mean_rate(self, t0: float, t1: float, samples: int = 64) -> float:
-        """Trapezoid estimate of the average rate over ``[t0, t1]``."""
-        if t1 <= t0:
-            return self.rate(t0)
-        step = (t1 - t0) / samples
-        total = 0.0
-        for i in range(samples + 1):
-            weight = 0.5 if i in (0, samples) else 1.0
-            total += weight * self.rate(t0 + i * step)
-        return total / samples
-
 
 class ConstantCurve(RateCurve):
     """A flat rate."""

@@ -62,10 +62,3 @@ class Workload(abc.ABC):
         """Attach this workload's execution logic to an executor."""
         for kind, fn in self.logic().items():
             executor.register_logic(kind, fn)
-
-    def average_tx_size(self, rng: random.Random, samples: int = 500) -> float:
-        """Empirical mean wire size of generated transactions."""
-        total = 0
-        for _ in range(samples):
-            total += self.generate(rng).size_bytes
-        return total / samples

@@ -55,10 +55,6 @@ class Histogram:
             return 0.0
         return sum(self.samples) / len(self.samples)
 
-    @property
-    def total(self) -> float:
-        return sum(self.samples)
-
     def percentile(self, pct: float) -> float:
         if not self.samples:
             return 0.0
@@ -79,18 +75,6 @@ class Histogram:
     @property
     def p999(self) -> float:
         return self.percentile(99.9)
-
-    @property
-    def max(self) -> float:
-        if not self.samples:
-            return 0.0
-        return self._ensure_sorted()[-1]
-
-    @property
-    def min(self) -> float:
-        if not self.samples:
-            return 0.0
-        return self._ensure_sorted()[0]
 
 
 class TimeSeries:

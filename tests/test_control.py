@@ -236,7 +236,7 @@ class TestTracerIntegration:
         assert {"gid", "knob", "old", "new", "trigger", "epoch"} <= set(
             span.args
         )
-        lanes = [n for n in trace.telemetry.names() if n.startswith("control/")]
+        lanes = [n for n, _ in trace.telemetry.items() if n.startswith("control/")]
         assert lanes
 
     def test_uncontrolled_trace_has_no_control_meta(self):

@@ -505,7 +505,7 @@ def _sim_chunk(entry, chunk_id, root, n_data, n_total, genuine):
 def _random_exchange(transport_cls, seed):
     """A seeded storm of WAN chunks at one receiving group: genuine and
     tampered roots, repeated chunk ids (duplicates; blacklisted ids once a
-    fake bucket fails), Byzantine re-sharers, crashes and recoveries, and on
+    fake bucket fails), Byzantine re-sharers, crashes, and on
     some seeds LAN loss and jitter. Send times sit on a coarse grid and all
     chunks have one size, so arrival times tie often."""
     rnd = random.Random(seed)
@@ -548,10 +548,7 @@ def _random_exchange(transport_cls, seed):
                 chunk.size_bytes,
             )
     for node in rnd.sample(receivers, 2):
-        down = 0.0105 + rnd.random() * 0.01
-        h.sim.schedule_at(down, node.crash)
-        if rnd.random() < 0.7:
-            h.sim.schedule_at(down + rnd.random() * 0.004, node.recover)
+        h.sim.schedule_at(0.0105 + rnd.random() * 0.01, node.crash)
     h.sim.run(until=1.0)
     return h
 
@@ -598,7 +595,7 @@ class TestThresholdInbox:
     def _two_shares(self, transport_cls, faults):
         """Group 1 (n=4, two chunks rebuild): N1.0 and N1.2 each receive a
         WAN chunk 2 ms apart and re-share it; ``faults`` are scheduled
-        ``(time, node index, "crash" | "recover")`` in group 1."""
+        ``(time, node index)`` crashes in group 1."""
         h = Harness(
             transport_cls, sizes=(4, 4), coding="simulated", payload=b"x" * 2000
         )
@@ -609,8 +606,8 @@ class TestThresholdInbox:
                 at, h.members[0][index].send, h.members[1][index].addr,
                 chunk, chunk.size_bytes,
             )
-        for at, index, what in faults:
-            h.sim.schedule_at(at, getattr(h.members[1][index], what))
+        for at, index in faults:
+            h.sim.schedule_at(at, h.members[1][index].crash)
         h.sim.run(until=1.0)
         return h
 
@@ -619,34 +616,26 @@ class TestThresholdInbox:
 
     def test_sender_down_while_its_shares_land(self):
         # N1.0's burst is timed and charged, then N1.0 is down while the
-        # shares are in flight and up again before any inbox is drained:
-        # nobody may count them.
-        faults = [(0.0104, 0, "crash"), (0.011, 0, "recover")]
+        # shares are in flight: nobody may count them.
+        faults = [(0.0104, 0)]
         inbox = self._two_shares(InboxExchange, faults)
         reference = self._two_shares(PerArrivalExchange, faults)
         assert_equivalent(inbox, reference)
-        # Only N1.0 itself ends up with two chunks (its own and N1.2's).
-        assert inbox.receivers(1) == {NodeAddress(1, 0)}
+        # N1.0 stays down, so no member gets two chunks: a peer counts
+        # only N1.2's share.
+        assert inbox.receivers(1) == set()
         peer = (NodeAddress(1, 1), inbox.entry.entry_id)
         assert [row[0] for row in inbox.transport.outcomes[peer]] == [2]
 
     def test_receiver_down_while_one_share_lands(self):
-        # N1.1 is down when N1.0's share lands and back up for N1.2's; the
-        # drain happens after the recovery and must still skip the first.
-        faults = [(0.0104, 1, "crash"), (0.011, 1, "recover")]
+        # N1.1 is up when N1.0's share lands and down for N1.2's; the
+        # drain must count the first and skip the second.
+        faults = [(0.0120, 1)]
         inbox = self._two_shares(InboxExchange, faults)
         reference = self._two_shares(PerArrivalExchange, faults)
         assert_equivalent(inbox, reference)
         assert NodeAddress(1, 1) not in inbox.receivers(1)
         assert NodeAddress(1, 3) in inbox.receivers(1)
-
-    def test_receiver_down_between_shares_counts_both(self):
-        # Down and up again strictly between the two arrivals: both count.
-        faults = [(0.0110, 1, "crash"), (0.0115, 1, "recover")]
-        inbox = self._two_shares(InboxExchange, faults)
-        reference = self._two_shares(PerArrivalExchange, faults)
-        assert_equivalent(inbox, reference)
-        assert NodeAddress(1, 1) in inbox.receivers(1)
 
     def test_inbox_dies_with_the_rebuild(self):
         h = Harness(InboxExchange, sizes=(7, 7, 7), coding="simulated")

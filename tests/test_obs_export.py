@@ -102,7 +102,7 @@ class TestBundle:
         assert counts["spans"] == len(trace.spans())
         assert (tmp_path / "report.txt").read_text() == "hello\n"
         telemetry = json.loads((tmp_path / "telemetry.json").read_text())
-        assert set(telemetry["series"]) == set(trace.telemetry.names())
+        assert set(telemetry["series"]) == {name for name, _ in trace.telemetry.items()}
 
     def test_repeated_export_is_byte_identical(self, trace, tmp_path):
         first = export_span_jsonl(trace, str(tmp_path / "a.jsonl"))

@@ -65,7 +65,7 @@ class TestSpanForest:
     def test_dissemination_has_per_receiver_children(self, traced_run):
         deployment, _, trace, _ = traced_run
         root = next(r for r in trace.entry_roots if r.args["complete"])
-        diss = root.find("dissemination")
+        diss = next((s for s in root.walk() if s.name == "dissemination"), None)
         assert diss is not None
         receivers = {c.name for c in diss.children}
         gid = root.args["gid"]
@@ -132,7 +132,7 @@ class TestTelemetry:
     def test_sampler_produces_series(self, traced_run):
         _, tracer, trace, _ = traced_run
         assert tracer.sampler.samples_taken > 0
-        names = set(trace.telemetry.names())
+        names = {name for name, _ in trace.telemetry.items()}
         assert any(n.endswith(".utilization") for n in names)
         assert any(n.endswith(".backlog_s") for n in names)
         assert any(n.startswith("group/") and n.endswith("/pbft_view") for n in names)
@@ -149,5 +149,5 @@ class TestTelemetry:
         _, _, trace, _ = traced_run
         # Queue-depth samples flow from the protocol's own admission gate.
         assert any(
-            n.endswith("/wan_backlog_s") for n in trace.telemetry.names()
+            n.endswith("/wan_backlog_s") for n, _ in trace.telemetry.items()
         )

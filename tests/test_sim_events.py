@@ -355,39 +355,3 @@ class TestTimer:
         timer = sim.set_timer(1.0, callback, interval=1.0)
         sim.run(until=10.0)
         assert fired == [1.0, 2.0]
-
-    def test_reset_restarts_countdown(self):
-        sim = Simulator()
-        fired = []
-        timer = sim.set_timer(1.0, lambda: fired.append(sim.now))
-        sim.schedule(0.5, lambda: timer.reset(1.0))
-        sim.run(until=5.0)
-        assert fired == [1.5]
-
-    def test_reset_default_delay_one_shot(self):
-        # Regression: reset() with no delay on a one-shot timer used to
-        # fall back to the (None) interval and crash when scheduling.
-        # It must restart the countdown at the original construction delay.
-        sim = Simulator()
-        fired = []
-        timer = sim.set_timer(2.0, lambda: fired.append(sim.now))
-        sim.schedule(1.0, timer.reset)
-        sim.run(until=10.0)
-        assert fired == [3.0]
-
-    def test_reset_default_delay_repeating(self):
-        sim = Simulator()
-        fired = []
-        timer = sim.set_timer(1.0, lambda: fired.append(sim.now), interval=2.0)
-        sim.schedule(0.5, timer.reset)
-        sim.run(until=6.0)
-        assert fired == [2.5, 4.5]
-
-    def test_reset_rearms_fired_one_shot(self):
-        sim = Simulator()
-        fired = []
-        timer = sim.set_timer(1.0, lambda: fired.append(sim.now))
-        sim.schedule(2.0, timer.reset)
-        sim.run(until=10.0)
-        assert fired == [1.0, 3.0]
-        assert not timer.active

@@ -109,16 +109,6 @@ class TestSimNode:
         sim.run_until_idle()
         assert done == [0.0]
 
-    def test_timer_suppressed_after_crash(self):
-        sim = Simulator()
-        net = Network(sim, rtt_matrix={})
-        node = SimNode(sim, net, NodeAddress(0, 0))
-        fired = []
-        node.set_timer(1.0, lambda: fired.append(1))
-        node.crash()
-        sim.run_until_idle()
-        assert fired == []
-
     def test_negative_cpu_rejected(self):
         sim = Simulator()
         net = Network(sim, rtt_matrix={})
@@ -171,12 +161,6 @@ class TestRng:
             "x"
         ).random()
 
-    def test_fork(self):
-        parent = RngRegistry(3)
-        child1 = parent.fork("n1")
-        child2 = parent.fork("n2")
-        assert child1.stream("s").random() != child2.stream("s").random()
-
 
 class TestMonitors:
     def test_counter(self):
@@ -195,7 +179,6 @@ class TestMonitors:
         assert h.p50 == 50.0
         assert h.p99 == 99.0
         assert h.percentile(100) == 100.0
-        assert h.min == 1.0 and h.max == 100.0
 
     def test_histogram_empty(self):
         h = Histogram("h")
@@ -219,18 +202,7 @@ class TestMonitors:
         assert h.p50 == 2.0
         h.observe(4.0)
         assert h._sorted
-        assert h.max == 4.0
-
-    def test_histogram_min_max_after_out_of_order_observe(self):
-        h = Histogram("h")
-        h.observe(3.0)
-        h.observe(1.0)  # out of order: invalidates the sorted invariant
-        assert not h._sorted
-        assert h.max == 3.0 and h.min == 1.0
-        assert h._sorted  # min/max share percentile()'s sorted path
-        h.observe(0.5)
-        assert h.min == 0.5
-        assert h.percentile(100) == 3.0
+        assert h.percentile(100) == 4.0
 
     def test_histogram_sorts_the_same_bits_without_numpy(self, monkeypatch):
         from repro.sim import monitor
@@ -249,10 +221,10 @@ class TestMonitors:
     def test_histogram_over_a_shared_column_leaves_its_order(self):
         column = array("d", [3.0, 1.0, 2.0])
         h = Histogram("h", column)
-        assert (h.p50, h.min, h.max) == (2.0, 1.0, 3.0)
+        assert (h.p50, h.percentile(0), h.percentile(100)) == (2.0, 1.0, 3.0)
         assert list(column) == [3.0, 1.0, 2.0]
         column.append(0.5)  # the owner appends; the next read re-sorts
-        assert h.min == 0.5 and h.count == 4
+        assert h.percentile(0) == 0.5 and h.count == 4
 
     def test_timeseries_window_sums(self):
         ts = TimeSeries("t")
@@ -272,8 +244,6 @@ class TestMonitors:
     def test_statmonitor_namespacing(self):
         mon = StatMonitor()
         mon.counter("a").add(3)
-        mon.histogram("lat").observe(1.0)
-        snap = mon.snapshot()
-        assert snap["a"] == 3.0
-        assert snap["lat.mean"] == 1.0
+        assert mon.counter("a").value == 3
         assert mon.counter("a") is mon.counter("a")
+        assert set(mon.counters) == {"a"}

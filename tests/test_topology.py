@@ -47,7 +47,7 @@ class TestClusterConfig:
         cluster = nationwide_cluster(7)
         assert cluster.n_groups == 3
         assert cluster.f_g == 1
-        assert cluster.total_nodes == 21
+        assert sum(g.n_nodes for g in cluster.groups) == 21
         assert "nationwide" in cluster.describe()
 
 

@@ -210,11 +210,6 @@ class TestRateCurves:
         with pytest.raises(ValueError):
             FlashCrowdCurve(100.0, 900.0, start=0.0, duration=0.1, ramp=0.2)
 
-    def test_mean_rate_trapezoid_estimate(self):
-        assert ConstantCurve(42.0).mean_rate(0.0, 1.0) == pytest.approx(42.0)
-        diurnal = DiurnalCurve(1000.0, amplitude=0.5, period=1.0)
-        assert diurnal.mean_rate(0.0, 1.0) == pytest.approx(1000.0, rel=1e-3)
-
 
 class TestTenantMix:
     def test_shares_split_attribution(self):
@@ -443,4 +438,3 @@ class TestDiurnalCompositionSanity:
         crest = sum(1 for t in times if 0.25 <= t < 0.75)
         trough = sum(1 for t in times if 1.25 <= t < 1.75)
         assert crest > 2 * trough
-        assert not math.isnan(curve.mean_rate(0.0, 2.0))
