@@ -115,7 +115,7 @@ class InvariantSuite:
         deployment.bus.subscribe(ValueCertified, suite._on_value_certified)
         deployment.bus.subscribe(ReconfigApplied, suite._on_reconfig)
         for node in deployment.nodes.values():
-            if node.is_observer and node.orderer is not None:
+            if node.is_observer:
                 suite._wrap_orderer(node)
         return suite
 

@@ -4,9 +4,9 @@
 * :mod:`repro.core.transfer_plan` — Algorithm 1: encoded bijective
   transfer-plan generation.
 * :mod:`repro.core.vts` — vector timestamps and group logical clocks.
-* :mod:`repro.core.ordering` — Algorithm 2: deterministic asynchronous
-  ordering by VTS, plus the round-based synchronous orderer used by the
-  baselines.
+* :mod:`repro.core.ordering` — the one orderer interface: Algorithm 2's
+  deterministic asynchronous ordering by VTS, the round-based
+  synchronous orderer used by the baselines, and Steward's slot order.
 * :mod:`repro.core.rebuild` — optimistic entry rebuild with Merkle
   bucketing and chunk-ID blacklisting (Section IV-C).
 * :mod:`repro.core.replication` — inter-group transports: encoded
@@ -18,7 +18,12 @@
 """
 
 from repro.core.entry import EntryId, EntryReleased, LogEntry
-from repro.core.ordering import DeterministicOrderer, RoundBasedOrderer
+from repro.core.ordering import (
+    DeterministicOrderer,
+    Orderer,
+    RoundBasedOrderer,
+    SequenceOrderer,
+)
 from repro.core.rebuild import OptimisticRebuilder, RebuildResult
 from repro.core.transfer_plan import TransferPlan, generate_transfer_plan
 from repro.core.vts import GroupClock, VectorTimestamp
@@ -30,8 +35,10 @@ __all__ = [
     "GroupClock",
     "LogEntry",
     "OptimisticRebuilder",
+    "Orderer",
     "RebuildResult",
     "RoundBasedOrderer",
+    "SequenceOrderer",
     "TransferPlan",
     "VectorTimestamp",
     "generate_transfer_plan",

@@ -1,11 +1,14 @@
-"""Entry ordering: Algorithm 2 (asynchronous, by VTS) and the round-based
-synchronous orderer used by the baselines.
+"""Entry ordering: Algorithm 2 (asynchronous, by VTS), the round-based
+synchronous orderer used by the baselines, and Steward's slot sequence.
 
-Both orderers are pure, I/O-free state machines: events go in
-(timestamp assignments, entry arrivals), a deterministic execution
-sequence comes out through the ``on_execute`` callback. This is what makes
-the agreement property directly property-testable — any interleaving of
-the same event set must produce the same execution prefix.
+Every orderer is a pure, I/O-free state machine behind one input
+interface, :class:`Orderer`: events go in (entry available, timestamp
+assigned, entry decided), a deterministic execution sequence comes out
+through the ``on_execute`` callback. Callers feed every input to every
+orderer and never test an orderer's type; each orderer reads only the
+inputs it needs. This is what makes the agreement property directly
+checkable — any interleaving of the same event set must produce
+prefix-related executions (``tests/test_ordering_exhaustive.py``).
 
 Sequence numbers start at 1 (matching the paper's examples); group clocks
 start at 0 and ``clk_i`` advances to ``n`` when ``e_{i,n}`` completes
@@ -15,12 +18,35 @@ consensus, so ``e_{i,n}.vts[i] = n`` deterministically (Section V-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.entry import EntryId
 from repro.core.vts import VectorTimestamp
 
 ExecuteCallback = Callable[[EntryId], None]
+
+
+class Orderer:
+    """The ordering inputs every node receives; each is a no-op here.
+
+    A node that executes nothing (a non-observer) holds a plain
+    ``Orderer``; the three orderers below override the inputs they read.
+    """
+
+    def mark_available(self, gid: int, seq: int) -> None:
+        """``e_{gid,seq}``'s payload is locally present and verified."""
+
+    def on_timestamp(self, assigner: int, gid: int, seq: int, timestamp: int) -> None:
+        """``e_{gid,seq}.vts[assigner] = timestamp`` was learned."""
+
+    def on_decided(self, entry_id: EntryId, slot: int) -> None:
+        """``entry_id`` is globally committed, in global ``slot`` when the
+        global phase numbers its slots (Steward), else ``slot < 0``."""
+
+    def unstamped(self, instance: int) -> Iterable[Tuple[int, int]]:
+        """Each known ``(gid, seq)`` whose VTS element ``instance`` is unset."""
+        return ()
 
 
 @dataclass
@@ -31,14 +57,13 @@ class _EntryState:
     seq: int
     vts: VectorTimestamp
     available: bool = False  # payload locally present and verified
-    executed: bool = False
 
     @property
     def entry_id(self) -> EntryId:
         return EntryId(self.gid, self.seq)
 
 
-class DeterministicOrderer:
+class DeterministicOrderer(Orderer):
     """Algorithm 2: deterministic ordering by vector timestamp.
 
     One instance runs on every node. Feed it:
@@ -54,22 +79,17 @@ class DeterministicOrderer:
     paper) condition that a node can only execute entries it holds.
     """
 
-    def __init__(
-        self, n_groups: int, on_execute: ExecuteCallback, strict: bool = True
-    ) -> None:
-        """``strict`` controls conflicting re-assignments: True raises
-        (unit/property tests want the invariant enforced), False keeps
-        the first value — the tolerant behaviour a deployment needs when
-        a takeover leader re-assigns on behalf of a crashed group whose
-        own last assignments raced the crash."""
+    def __init__(self, n_groups: int, on_execute: ExecuteCallback) -> None:
         if n_groups < 1:
             raise ValueError("need at least one group")
         self.n_groups = n_groups
         self.on_execute = on_execute
-        self.strict = strict
+        #: Re-assignments that conflicted with a known value and were
+        #: dropped: the first value wins. A takeover leader re-assigns on
+        #: behalf of a crashed group whose own last assignments may have
+        #: raced the crash.
         self.conflicting_assignments = 0
         self.states: Dict[EntryId, _EntryState] = {}
-        self.executed_count = 0
         # heads[i]: the unexecuted entry from G_i with the smallest seq.
         self.heads: List[_EntryState] = [
             self._state(gid, 1) for gid in range(n_groups)
@@ -108,8 +128,6 @@ class DeterministicOrderer:
         try:
             state.vts.assign(assigner, timestamp)
         except ValueError:
-            if self.strict:
-                raise
             self.conflicting_assignments += 1
             return
         # Timestamps from G_assigner arrive in non-decreasing order, so
@@ -118,6 +136,11 @@ class DeterministicOrderer:
         for head in self.heads:
             head.vts.infer(assigner, timestamp)
         self._drain()
+
+    def unstamped(self, instance: int) -> Iterable[Tuple[int, int]]:
+        for state in chain(self.states.values(), self.heads):
+            if not state.vts.is_set[instance]:
+                yield state.gid, state.seq
 
     # ------------------------------------------------------------------
     # Algorithm 2 core
@@ -159,8 +182,6 @@ class DeterministicOrderer:
             pre = self._global_minimum()
             if pre is None or not pre.available:
                 return
-            pre.executed = True
-            self.executed_count += 1
             self.on_execute(pre.entry_id)
             # Executed entries are never consulted again; free their state
             # (late timestamps simply recreate a throwaway record).
@@ -172,7 +193,7 @@ class DeterministicOrderer:
                 nxt.vts.infer(j, pre.vts.values[j])
 
 
-class RoundBasedOrderer:
+class RoundBasedOrderer(Orderer):
     """Synchronous round-based ordering (Section II-A).
 
     Every group proposes exactly one entry per round; a node executes
@@ -190,13 +211,12 @@ class RoundBasedOrderer:
         self.active: Set[int] = set(range(n_groups))
         self.delivered: Dict[int, Set[int]] = {g: set() for g in range(n_groups)}
         self.current_round = 1
-        self.executed_count = 0
 
-    def deliver(self, gid: int, seq: int) -> None:
-        """Entry ``e_{gid,seq}`` is locally committed (round = seq)."""
-        if seq < 1:
+    def on_decided(self, entry_id: EntryId, slot: int) -> None:
+        """Entry ``e_{gid,seq}`` is committed (round = seq; no slot used)."""
+        if entry_id.seq < 1:
             raise ValueError("sequence numbers start at 1")
-        self.delivered[gid].add(seq)
+        self.delivered[entry_id.gid].add(entry_id.seq)
         self._drain()
 
     def _drain(self) -> None:
@@ -204,7 +224,23 @@ class RoundBasedOrderer:
             self.current_round in self.delivered[g] for g in self.active
         ):
             for gid in sorted(self.active):
-                self.executed_count += 1
                 self.on_execute(EntryId(gid, self.current_round))
                 self.delivered[gid].discard(self.current_round)
             self.current_round += 1
+
+
+class SequenceOrderer(Orderer):
+    """Steward's ordering: execute entries in global slot order."""
+
+    def __init__(self, on_execute: ExecuteCallback) -> None:
+        self.on_execute = on_execute
+        self.next_slot = 0
+        self.pending: Dict[int, EntryId] = {}
+
+    def on_decided(self, entry_id: EntryId, slot: int) -> None:
+        if slot < 0:
+            return
+        self.pending[slot] = entry_id
+        while self.next_slot in self.pending:
+            self.on_execute(self.pending.pop(self.next_slot))
+            self.next_slot += 1

@@ -199,7 +199,6 @@ class AriaExecutor:
         # ``store or KVStore()`` would silently discard a caller's store.
         self.store = store if store is not None else KVStore()
         self.logic: Dict[str, TxLogic] = dict(logic or {})
-        self.batches_executed = 0
         self.total_committed = 0
         self.total_aborted = 0
 
@@ -222,7 +221,6 @@ class AriaExecutor:
         if not batch:
             return plan
         self.store.apply_writes(plan.writes)
-        self.batches_executed += 1
         self.total_committed += len(batch) - len(plan.aborted)
         self.total_aborted += len(plan.aborted)
         return plan

@@ -13,7 +13,9 @@ Module map (see DESIGN.md for the full tour):
 ``values``          accept/commit values certified by local PBFT
 ``slots``           Steward's shared :class:`SlotToken`
 ``takeover``        crashed-group takeover for the Raft phase
-``ordering_exec``   orderers, Aria execution, measurement observer
+``ordering_exec``   observers and their orderers (defined in
+                    :mod:`repro.core.ordering`), Aria execution,
+                    measurement observer
 ``faults``          crash / Byzantine / bandwidth injection
 ``group``           per-group stage composition (:class:`GroupRuntime`)
 ``node``            the replica node (:class:`GeoNode`)
@@ -45,10 +47,7 @@ from repro.protocols.runtime.group import GroupRuntime
 from repro.protocols.runtime.load import ClientLoad, LoadStage
 from repro.protocols.runtime.local import LocalConsensusStage
 from repro.protocols.runtime.node import GeoNode
-from repro.protocols.runtime.ordering_exec import (
-    OrderingExecStage,
-    SequenceOrderer,
-)
+from repro.protocols.runtime.ordering_exec import OrderingExecStage
 from repro.protocols.runtime.slots import SlotToken
 from repro.protocols.runtime.spec import ProtocolSpec
 from repro.protocols.runtime.values import AcceptValue, CommitValue
@@ -78,7 +77,6 @@ __all__ = [
     "ProtocolSpec",
     "QueueDepthsSampled",
     "RaftGlobalPhase",
-    "SequenceOrderer",
     "SerialSlotPhase",
     "SlotToken",
     "build_transport",

@@ -156,7 +156,7 @@ class GeoDeployment:
         self.metrics = RunMetrics(self.n_groups)
         if self.tenant_names is not None:
             self.metrics.configure_tenants(traffic.tenants)
-        self._metrics_bridge = MetricsBridge(self.bus, self.metrics)
+        MetricsBridge(self.bus, self.metrics)
 
         # Steward's deployment-wide slot token, shared by all groups.
         self._slot_token = (

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.core.entry import EntryId, LogEntry
-from repro.core.ordering import DeterministicOrderer
 from repro.core.replication import (
     BijectiveTransport,
     EncodedBijectiveTransport,
@@ -69,10 +68,7 @@ class DisseminationStage:
         if entry is not None and not node.is_observer:
             # Every replica executes; non-observers only pay the CPU.
             node.charge_cpu(deployment.costs.execute_seconds(entry.tx_count))
-        if node.orderer is not None and isinstance(
-            node.orderer, DeterministicOrderer
-        ):
-            node.orderer.mark_available(entry_id.gid, entry_id.seq)
+        node.orderer.mark_available(entry_id.gid, entry_id.seq)
         group = deployment.groups[node.gid]
         if entry_id.gid != group.gid and group.is_rep(node):
             deployment.bus.publish(

@@ -40,7 +40,6 @@ from repro.core.global_raft import (
 )
 from repro.core.replication import DEFAULT_CERT_SIZE
 from repro.protocols.runtime.events import EntryGloballyCommitted
-from repro.protocols.runtime.ordering_exec import SequenceOrderer
 from repro.protocols.runtime.slots import SlotToken
 from repro.protocols.runtime.takeover import TakeoverMixin
 from repro.protocols.runtime.values import AcceptValue, CommitValue
@@ -94,8 +93,8 @@ class DirectBroadcastPhase(GlobalPhase):
 
     def on_entry_available(self, node, entry_id: EntryId) -> None:
         # Having the entry is commitment; each node feeds its own
-        # (round) orderer directly.
-        node.on_global_commit(entry_id.gid, entry_id.seq)
+        # orderer directly.
+        node.orderer.on_decided(entry_id, -1)
         if entry_id.gid == self.gid:
             self.group.last_own_committed = max(
                 self.group.last_own_committed, entry_id.seq
@@ -442,13 +441,7 @@ class RaftGlobalPhase(TakeoverMixin, GlobalPhase):
         node.broadcast_local(
             notice, notice.size_bytes, deliver_to=self.group.commit_readers
         )
-        self._local_commit_at(node, instance, seq, slot)
-
-    def _local_commit_at(self, node, instance: int, seq: int, slot: int) -> None:
-        if isinstance(node.orderer, SequenceOrderer) and slot >= 0:
-            node.orderer.deliver(slot, EntryId(instance, seq))
-        else:
-            node.on_global_commit(instance, seq)
+        node.orderer.on_decided(entry_id, slot)
 
     # ------------------------------------------------------------------
     # Entry-body retransmission (reconciliation fallback, Section V-C)

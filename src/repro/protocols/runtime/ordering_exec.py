@@ -1,7 +1,8 @@
 """Ordering + execution stage: observers, orderers, Aria execution.
 
-Builds the per-observer ordering engine a spec calls for (Algorithm 2
-asynchronous VTS, round-based, or Steward's slot sequence), attaches the
+Builds the per-observer orderer a spec calls for (Algorithm 2
+asynchronous VTS, round-based, or Steward's slot sequence; all three live
+in :mod:`repro.core.ordering`), attaches the
 ledger and execution pipeline, and publishes
 :class:`~repro.protocols.runtime.events.EntryExecuted` at each entry's
 origin-group measurement observer.
@@ -9,29 +10,16 @@ origin-group measurement observer.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.core.entry import EntryId
-from repro.core.ordering import DeterministicOrderer, RoundBasedOrderer
+from repro.core.ordering import (
+    DeterministicOrderer,
+    RoundBasedOrderer,
+    SequenceOrderer,
+)
 from repro.ledger.execution import AriaExecutor, ExecutionPipeline
 from repro.protocols.runtime.events import EntryExecuted, FaultInjected
-
-
-class SequenceOrderer:
-    """Steward's ordering: execute entries in global slot order."""
-
-    def __init__(self, on_execute: Callable[[EntryId], None]) -> None:
-        self.on_execute = on_execute
-        self.next_slot = 0
-        self.pending: Dict[int, EntryId] = {}
-        self.executed_count = 0
-
-    def deliver(self, slot: int, entry_id: EntryId) -> None:
-        self.pending[slot] = entry_id
-        while self.next_slot in self.pending:
-            self.executed_count += 1
-            self.on_execute(self.pending.pop(self.next_slot))
-            self.next_slot += 1
 
 
 class OrderingExecStage:
@@ -73,7 +61,7 @@ class OrderingExecStage:
                 on_execute = self.make_execute_callback(node)
                 if deployment.spec.ordering == "async":
                     node.orderer = DeterministicOrderer(
-                        deployment.n_groups, on_execute, strict=False
+                        deployment.n_groups, on_execute
                     )
                 elif deployment.spec.ordering == "round":
                     node.orderer = RoundBasedOrderer(
@@ -81,19 +69,14 @@ class OrderingExecStage:
                     )
                 else:
                     node.orderer = SequenceOrderer(on_execute)
-            # Orderers are assigned here once and joiners never get one,
-            # so the members that read each LAN notice (GeoNode's
-            # _on_local_ts / on_global_commit) are fixed for the run.
-            group.ts_readers = frozenset(
-                n.addr
-                for n in group.members
-                if isinstance(n.orderer, DeterministicOrderer)
-            )
-            group.commit_readers = frozenset(
-                n.addr
-                for n in group.members
-                if isinstance(n.orderer, RoundBasedOrderer)
-            )
+            # Observers are chosen here once and joiners never become
+            # one, so the members that read each LAN notice are fixed for
+            # the run: timestamp notices feed async ordering, commit
+            # notices round ordering.
+            readers = frozenset(n.addr for n in watchers)
+            ordering = deployment.spec.ordering
+            group.ts_readers = readers if ordering == "async" else frozenset()
+            group.commit_readers = readers if ordering == "round" else frozenset()
 
     def make_execute_callback(self, node):
         deployment = self.deployment

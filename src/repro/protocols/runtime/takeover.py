@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List, Set, Tuple
 
 from repro.core.global_raft import GRTakeoverRequest, GRTakeoverVote
-from repro.core.ordering import DeterministicOrderer
 
 
 class TakeoverMixin:
@@ -144,11 +143,8 @@ class TakeoverMixin:
                 seen.add((gid, seq))
                 assignments.append((gid, seq, frozen))
 
-        orderer = node.orderer
-        if isinstance(orderer, DeterministicOrderer):
-            for entry_state in list(orderer.states.values()) + orderer.heads:
-                if not entry_state.vts.is_set[instance]:
-                    need(entry_state.gid, entry_state.seq)
+        for gid, seq in node.orderer.unstamped(instance):
+            need(gid, seq)
         for other_instance, other_state in self.instances.items():
             if other_instance == instance:
                 continue

@@ -118,9 +118,6 @@ class Simulator:
         sim = Simulator()
         sim.schedule(0.0, boot)
         sim.run(until=10.0)      # run 10 simulated seconds
-
-    The simulator also supports *stop conditions* used by benchmarks (stop
-    once N transactions have committed) via :meth:`stop`.
     """
 
     def __init__(self) -> None:
@@ -129,7 +126,6 @@ class Simulator:
         #: Sequence number of the event being executed (see position).
         self._seq_now = -1
         self._running = False
-        self._stopped = False
         self.events_processed = 0
         #: Monotonic counter bumped by the adaptive-control stage on every
         #: actuation (mirroring the deployment's membership epoch). Plain
@@ -210,16 +206,12 @@ class Simulator:
         """Create a one-shot (or repeating, if ``interval`` is given) timer."""
         return Timer(self, delay, callback, interval)
 
-    def stop(self) -> None:
-        """Stop the current :meth:`run` after the in-flight event returns."""
-        self._stopped = True
-
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> float:
-        """Process events until the queue drains, ``until`` passes, or stop().
+        """Process events until the queue drains or ``until`` passes.
 
         Returns the simulated time at which the run ended. Time advances to
         ``until`` even if the queue drains earlier, so rate computations
@@ -234,12 +226,11 @@ class Simulator:
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
         self._running = True
-        self._stopped = False
         processed_this_run = 0
         pop_until = self._queue.pop_until
         recycle = self._queue.recycle
         try:
-            while not self._stopped:
+            while True:
                 if max_events is not None and processed_this_run >= max_events:
                     break
                 event = pop_until(until)
@@ -252,7 +243,7 @@ class Simulator:
                     recycle(event)
                 self.events_processed += 1
                 processed_this_run += 1
-            if until is not None and self._now < until and not self._stopped:
+            if until is not None and self._now < until:
                 self._now = until
         finally:
             self._running = False
@@ -268,7 +259,7 @@ class Simulator:
         """
         before = self.events_processed
         end = self.run(max_events=max_events)
-        if self.events_processed - before >= max_events and not self._stopped:
+        if self.events_processed - before >= max_events:
             pending = self._queue.peek_time()
             if pending is not None:
                 raise SimulationBudgetExceeded(

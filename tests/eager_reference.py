@@ -105,7 +105,9 @@ def eager():
         yield
 
 
-#: Which orderer reads each LAN notice (GeoNode._on_local_ts / on_global_commit).
+#: Which orderer reads each LAN notice (GeoNode._on_local_ts / _on_local_commit).
+#: The runtime derives the same reader sets from the spec's ordering string
+#: (``OrderingExecStage.setup_observers``); this reference reads the orderers.
 _READER = {LocalTsNotice: DeterministicOrderer, LocalCommitNotice: RoundBasedOrderer}
 
 

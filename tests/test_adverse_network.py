@@ -46,7 +46,7 @@ class TestLossyWan:
         deployment = deploy(jitter=0.005, observers="all", load=1500)
         orders = {}
         for node in deployment.nodes.values():
-            if node.orderer is None:
+            if not node.is_observer:
                 continue
             executed = []
             orders[node.addr] = executed

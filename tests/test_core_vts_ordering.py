@@ -144,14 +144,8 @@ class TestDeterministicOrderer:
         orderer.on_timestamp(0, 1, 1, 3)  # unblocks the head comparison
         assert executed == [EntryId(0, 1), EntryId(0, 2)]
 
-    def test_strict_mode_raises_on_conflict(self):
-        orderer = DeterministicOrderer(2, lambda e: None, strict=True)
-        orderer.on_timestamp(1, 0, 1, 5)
-        with pytest.raises(ValueError):
-            orderer.on_timestamp(1, 0, 1, 6)
-
     def test_tolerant_mode_keeps_first(self):
-        orderer = DeterministicOrderer(2, lambda e: None, strict=False)
+        orderer = DeterministicOrderer(2, lambda e: None)
         orderer.on_timestamp(1, 0, 1, 5)
         orderer.on_timestamp(1, 0, 1, 6)
         assert orderer.conflicting_assignments == 1
@@ -203,6 +197,8 @@ class TestDeterministicOrderer:
         ob = DeterministicOrderer(n_groups, order_b.append)
         run_scenario(oa, legal_shuffle())
         run_scenario(ob, legal_shuffle())
+        # Consistent inputs never conflict (first-wins drops nothing).
+        assert oa.conflicting_assignments == ob.conflicting_assignments == 0
         common = min(len(order_a), len(order_b))
         assert order_a[:common] == order_b[:common]
 
@@ -211,17 +207,17 @@ class TestRoundBasedOrderer:
     def test_round_completes_when_all_groups_deliver(self):
         executed = []
         orderer = RoundBasedOrderer(3, executed.append)
-        orderer.deliver(2, 1)
-        orderer.deliver(0, 1)
+        orderer.on_decided(EntryId(2, 1), -1)
+        orderer.on_decided(EntryId(0, 1), -1)
         assert executed == []
-        orderer.deliver(1, 1)
+        orderer.on_decided(EntryId(1, 1), -1)
         assert executed == [EntryId(0, 1), EntryId(1, 1), EntryId(2, 1)]
 
     def test_gid_order_within_round(self):
         executed = []
         orderer = RoundBasedOrderer(2, executed.append)
-        orderer.deliver(1, 1)
-        orderer.deliver(0, 1)
+        orderer.on_decided(EntryId(1, 1), -1)
+        orderer.on_decided(EntryId(0, 1), -1)
         assert [e.gid for e in executed] == [0, 1]
 
     def test_slow_group_blocks_fast_group(self):
@@ -229,16 +225,16 @@ class TestRoundBasedOrderer:
         executed = []
         orderer = RoundBasedOrderer(2, executed.append)
         for seq in range(1, 10):
-            orderer.deliver(0, seq)  # fast group races ahead
+            orderer.on_decided(EntryId(0, seq), -1)  # fast group races ahead
         assert executed == []  # all blocked on group 1's round 1
 
     def test_out_of_order_delivery(self):
         executed = []
         orderer = RoundBasedOrderer(2, executed.append)
-        orderer.deliver(0, 2)
-        orderer.deliver(1, 2)
-        orderer.deliver(1, 1)
-        orderer.deliver(0, 1)
+        orderer.on_decided(EntryId(0, 2), -1)
+        orderer.on_decided(EntryId(1, 2), -1)
+        orderer.on_decided(EntryId(1, 1), -1)
+        orderer.on_decided(EntryId(0, 1), -1)
         assert executed == [
             EntryId(0, 1),
             EntryId(1, 1),
@@ -249,4 +245,4 @@ class TestRoundBasedOrderer:
     def test_invalid_seq(self):
         orderer = RoundBasedOrderer(2, lambda e: None)
         with pytest.raises(ValueError):
-            orderer.deliver(0, 0)
+            orderer.on_decided(EntryId(0, 0), -1)

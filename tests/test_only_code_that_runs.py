@@ -1,4 +1,5 @@
-"""Guard: every public name in ``src/repro`` has a caller that runs.
+"""Guard: every public name in ``src/repro`` has a caller that runs, and
+every field it stores is read.
 
 A name is *used* when some code in ``src/``, ``benchmarks/``,
 ``examples/`` or ``perfbench/`` refers to it: an identifier or an
@@ -11,6 +12,11 @@ Scanned: top-level functions and classes, and the public methods and
 properties of top-level classes. Names are matched bare, so a method
 shares its uses with every same-named attribute (``x.run`` keeps every
 ``run`` alive); the guard catches names nothing refers to at all.
+
+A field is a ``self.<name> = ...`` store in ``src/repro``. It is *read*
+when the same code loads ``<name>``: an identifier or attribute in a
+load, or a string constant (so ``getattr(obj, "name")`` counts). A
+counter only ever stored and incremented is work no run looks at.
 """
 
 import ast
@@ -30,6 +36,15 @@ ALLOWED = {
     "ExecutionPipeline.carryover": "pipeline tests inspect deferred transactions",
     "YcsbWorkload.column_key": "tests/eager_population.py builds loaded tables",
     "policy_names": "the CLI-literal consistency test of controller policies",
+}
+
+#: Fields kept although only tests read them, each with the reason.
+WRITE_ONLY_ALLOWED = {
+    "conflicting_assignments": "ordering tests assert consistent inputs drop "
+    "no timestamp (first assignment wins)",
+    "rebuild_attempts": "rebuild tests bound the attempts by distinct roots",
+    "entries_executed": "batch tests compare pipelines entry for entry",
+    "batches_applied": "store fingerprints in the lazy-table and batch tests",
 }
 
 
@@ -72,6 +87,35 @@ def scan():
     }
 
 
+@functools.lru_cache(maxsize=None)
+def scan_fields():
+    """Each ``self.<name>`` field nothing reads: name -> ``path:line name``."""
+    loaded = set()
+    stored = {}
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    loaded.add(node.value)
+                elif isinstance(node, ast.Attribute):
+                    if isinstance(node.ctx, ast.Load):
+                        loaded.add(node.attr)
+                    elif (
+                        directory == "src"
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                    ):
+                        rel = path.relative_to(ROOT)
+                        stored.setdefault(
+                            node.attr, f"{rel}:{node.lineno} self.{node.attr}"
+                        )
+    return {name: where for name, where in stored.items() if name not in loaded}
+
+
 def test_every_public_src_name_has_a_caller_outside_tests():
     unused = [line for name, line in scan().items() if name not in ALLOWED]
     assert not unused, (
@@ -84,3 +128,18 @@ def test_every_public_src_name_has_a_caller_outside_tests():
 def test_allowlist_holds_only_names_without_a_caller():
     """An allowed name that gained a caller, or is gone, leaves the list."""
     assert set(ALLOWED) <= set(scan())
+
+
+def test_every_src_field_is_read_outside_tests():
+    unread = [
+        line for name, line in scan_fields().items() if name not in WRITE_ONLY_ALLOWED
+    ]
+    assert not unread, (
+        "no code outside tests/ reads these fields; delete the stores (and "
+        "the tests that check only them):\n" + "\n".join(sorted(unread))
+    )
+
+
+def test_field_allowlist_holds_only_unread_fields():
+    """An allowed field that gained a reader, or is gone, leaves the list."""
+    assert set(WRITE_ONLY_ALLOWED) <= set(scan_fields())

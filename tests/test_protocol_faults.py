@@ -98,7 +98,7 @@ class TestGroupCrash:
         deployment = deploy(massbft(), load=1500, observers="all", takeover_timeout=0.5)
         orders = {}
         for node in deployment.nodes.values():
-            if node.orderer is None or node.gid == 0:
+            if not node.is_observer or node.gid == 0:
                 continue
             executed = []
             orders[node.addr] = executed

@@ -115,7 +115,7 @@ class TestAgreement:
         deployment = deploy(spec, observers="all", load=1500)
         orders = {}
         for node in deployment.nodes.values():
-            if node.orderer is None:
+            if not node.is_observer:
                 continue
             executed = []
             orders[node.addr] = executed

@@ -5,8 +5,9 @@ import pytest
 
 from repro.costs import CostModel
 from repro.core.entry import EntryId
+from repro.core.ordering import SequenceOrderer
 from repro.protocols import GeoDeployment, massbft, baseline, steward
-from repro.protocols.runtime import ClientLoad, SequenceOrderer
+from repro.protocols.runtime import ClientLoad
 from repro.sim.rng import RngRegistry
 from repro.workloads import make_workload
 from tests.conftest import tiny_cluster
@@ -56,16 +57,16 @@ class TestSequenceOrderer:
     def test_in_order_execution(self):
         out = []
         orderer = SequenceOrderer(out.append)
-        orderer.deliver(1, EntryId(1, 1))
+        orderer.on_decided(EntryId(1, 1), 1)
         assert out == []
-        orderer.deliver(0, EntryId(0, 1))
+        orderer.on_decided(EntryId(0, 1), 0)
         assert out == [EntryId(0, 1), EntryId(1, 1)]
 
     def test_gap_blocks(self):
         out = []
         orderer = SequenceOrderer(out.append)
-        orderer.deliver(2, EntryId(0, 2))
-        orderer.deliver(0, EntryId(0, 1))
+        orderer.on_decided(EntryId(0, 2), 2)
+        orderer.on_decided(EntryId(0, 1), 0)
         assert len(out) == 1  # slot 1 still missing
 
 

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.entry import EntryId
-from repro.core.ordering import DeterministicOrderer, RoundBasedOrderer
+from repro.core.ordering import (
+    DeterministicOrderer,
+    RoundBasedOrderer,
+    SequenceOrderer,
+)
 from repro.core.replication import (
     BijectiveTransport,
     EncodedBijectiveTransport,
@@ -16,7 +20,6 @@ from repro.protocols.runtime import (
     EntryExecuted,
     EventBus,
     RaftGlobalPhase,
-    SequenceOrderer,
     SerialSlotPhase,
 )
 from repro.workloads import make_workload

@@ -198,15 +198,6 @@ class TestSimulator:
         sim.run(until=4.0)
         assert seen == [1, 3]
 
-    def test_stop_halts_processing(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: (seen.append(1), sim.stop()))
-        sim.schedule(2.0, seen.append, 2)
-        sim.run(until=10.0)
-        assert seen == [(1, None)] or seen[0] is not None
-        assert len(seen) == 1
-
     def test_schedule_in_past_rejected(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
@@ -306,17 +297,6 @@ class TestBudgetError:
         end = sim.run_until_idle(max_events=100)
         assert len(hits) == 10
         assert end == pytest.approx(0.09)
-
-    def test_explicit_stop_does_not_raise(self):
-        sim = Simulator()
-
-        def loop():
-            if sim.events_processed >= 5:
-                sim.stop()
-            sim.schedule(0.001, loop)
-
-        sim.schedule(0.0, loop)
-        sim.run_until_idle(max_events=1000)  # stop() is not budget abuse
 
 
 class TestTimer:
